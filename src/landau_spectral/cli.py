@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 import time
@@ -149,6 +150,15 @@ def init_from_file(path, N: int) -> SpectralState:
     return state
 
 
+def _is_seq(value, length: int, kind) -> bool:
+    """True for a list or tuple of `length` non-boolean `kind` numbers."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == length
+        and all(isinstance(x, kind) and not isinstance(x, bool) for x in value)
+    )
+
+
 def build_initial_state(cfg: RunConfig) -> SpectralState:
     kind = cfg.init.get("kind")
     if kind == "example-dirac":
@@ -156,9 +166,11 @@ def build_initial_state(cfg: RunConfig) -> SpectralState:
     if kind == "single-mode":
         mode = cfg.init.get("mode")
         amp = cfg.init.get("amplitude", 1.0)
-        if mode is None or len(mode) != 3:
-            raise ConfigError("single-mode init needs 'mode': [n, l, m]")
+        if not _is_seq(mode, 3, numbers.Integral):
+            raise ConfigError(f"single-mode 'mode' must be [n, l, m] integers, got {mode!r}")
         if isinstance(amp, (list, tuple)):
+            if not _is_seq(amp, 2, numbers.Real):
+                raise ConfigError(f"single-mode 'amplitude' list must be [re, im], got {amp!r}")
             amp = complex(amp[0], amp[1])
         return init_single_mode(cfg.truncation, mode, amp)
     if kind == "file":

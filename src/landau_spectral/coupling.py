@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .basis import Mode, mode_table
 from .errors import CapacityError, TensorCacheError
@@ -205,19 +206,26 @@ class CouplingTensor:
 
     ``channels`` maps each channel name to (tgt, src, drv, mdrv, coef)
     arrays of flat mode indices (into ``mode_table(N)``), the driver's
-    azimuthal index, and the real coefficient.  ``tgt/src/drv/coef`` are the
-    concatenation used by the apply kernel.
+    azimuthal index, and the real coefficient.  Only the shell <= 2 modes in
+    ``drivers`` ever act, so L(f, g) = sum_d f_d M_d g: ``stencil`` stacks the
+    blocks M_d as one sparse matrix whose row slot*n + tgt, column src holds
+    the summed coefficients of driver ``drivers[slot]``.
     """
 
     N: int
     channels: dict
-    tgt: np.ndarray = field(repr=False)
-    src: np.ndarray = field(repr=False)
-    drv: np.ndarray = field(repr=False)
-    coef: np.ndarray = field(repr=False)
+    drivers: np.ndarray = field(repr=False)
+    stencil: csr_matrix = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.coef)
+        return sum(len(coef) for *_, coef in self.channels.values())
+
+    def apply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Coefficient vector of the bilinear image L(f, g)."""
+        blocks = (self.stencil @ g).reshape(len(self.drivers), self.stencil.shape[1])
+        # a broadcast sum, not `f[drivers] @ blocks`: that product goes to a
+        # threaded BLAS call, which slows down several-fold on a busy host
+        return (f[self.drivers, None] * blocks).sum(axis=0)
 
     def cascade_by_target(self) -> dict:
         """Shell-2 driver entries grouped by target flat index.
@@ -289,7 +297,6 @@ def _tensor_rows(N: int):
 
 def _assemble(N: int, rows: dict) -> CouplingTensor:
     channels = {}
-    cat = {"tgt": [], "src": [], "drv": [], "coef": []}
     for name in CHANNELS:
         entries = rows[name]
         tgt = np.array([e[0] for e in entries], dtype=np.int64)
@@ -300,17 +307,13 @@ def _assemble(N: int, rows: dict) -> CouplingTensor:
         for arr in (tgt, src, drv, mdrv, coef):
             arr.flags.writeable = False
         channels[name] = (tgt, src, drv, mdrv, coef)
-        cat["tgt"].append(tgt)
-        cat["src"].append(src)
-        cat["drv"].append(drv)
-        cat["coef"].append(coef)
-    tgt = np.concatenate(cat["tgt"]) if cat["tgt"] else np.empty(0, np.int64)
-    src = np.concatenate(cat["src"])
-    drv = np.concatenate(cat["drv"])
-    coef = np.concatenate(cat["coef"])
-    for arr in (tgt, src, drv, coef):
-        arr.flags.writeable = False
-    return CouplingTensor(N=N, channels=channels, tgt=tgt, src=src, drv=drv, coef=coef)
+    tgt, src, drv, _mdrv, coef = (np.concatenate(arrs) for arrs in zip(*channels.values()))
+    drivers, slot = np.unique(drv, return_inverse=True)
+    drivers.flags.writeable = False
+    n = len(mode_table(N).modes)
+    # the CSR conversion sums repeated (driver, target, source) entries
+    stencil = csr_matrix((coef, (slot * n + tgt, src)), shape=(len(drivers) * n, n))
+    return CouplingTensor(N=N, channels=channels, drivers=drivers, stencil=stencil)
 
 
 @lru_cache(maxsize=8)

@@ -3,8 +3,8 @@ coefficient space, plus the independent Fourier-side and moment-integral
 oracles used to validate the expansion identities numerically.
 
 The bilinear operator is almost diagonal: only driver modes at shell <= 2
-couple, so applying it is a sparse gather/scatter over the precomputed
-coupling stencil (see ``kernels``).
+couple, so applying it is one sparse matrix-vector product with the
+precomputed coupling stencil (see ``CouplingTensor.apply``).
 """
 
 import math
@@ -15,7 +15,6 @@ from scipy.special import roots_genlaguerre
 from .basis import SpectralState, psi_hat, validate_mode
 from .coupling import A1, A2, A3, CouplingTensor
 from .errors import DimensionMismatchError, QuadratureOrderError
-from .kernels import accumulate
 from .specfun import gauss_legendre, laguerre, ylm
 
 
@@ -38,9 +37,7 @@ def apply_bilinear(
             f"operands (N={f.truncation}, N={g.truncation}) do not match "
             f"tensor N={tensor.N}"
         )
-    out = np.zeros(len(f.coeffs), dtype=np.complex128)
-    accumulate(out, tensor.coef, tensor.tgt, tensor.src, tensor.drv, f.coeffs, g.coeffs)
-    return g.with_coeffs(out)
+    return g.with_coeffs(tensor.apply(f.coeffs, g.coeffs))
 
 
 _DRIFT_MULT = 2.0 * math.sqrt(6.0) / 3.0

@@ -36,7 +36,6 @@ from .errors import (
     NullSpaceError,
     StepSizeError,
 )
-from .kernels import accumulate
 
 RATE_MERGE_TOL = 1e-9
 RK4_STABILITY = 2.785  # real-axis stability limit of classical RK4
@@ -243,11 +242,6 @@ def integrate_numeric(
     dt = cfg.dt
     n_steps = int(math.floor(cfg.t_final / dt + 1e-9))
 
-    def quad(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        accumulate(out, tensor.coef, tensor.tgt, tensor.src, tensor.drv, y, y)
-        return out
-
     y = init.coeffs.copy()
     series = [(0.0, init.with_coeffs(y, t=0.0))]
 
@@ -260,7 +254,7 @@ def integrate_numeric(
             )
 
         def rhs(y):
-            return -lam * y + quad(y)
+            return -lam * y + tensor.apply(y, y)
 
         with np.errstate(invalid="ignore", over="ignore"):
             for step in range(1, n_steps + 1):
@@ -279,13 +273,13 @@ def integrate_numeric(
     # is the reporting path, so silence the intermediate arithmetic warnings
     with np.errstate(invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
-            n0 = quad(y)
+            n0 = tensor.apply(y, y)
             a = e_half * y + f0 * n0
-            n1 = quad(a)
+            n1 = tensor.apply(a, a)
             b = e_half * y + f0 * n1
-            n2 = quad(b)
+            n2 = tensor.apply(b, b)
             c = e_half * a + f0 * (2.0 * n2 - n0)
-            n3 = quad(c)
+            n3 = tensor.apply(c, c)
             y = e_full * y + f1 * n0 + 2.0 * f2 * (n1 + n2) + f3 * n3
             t = step * dt
             _check_finite(y, t, table)
@@ -312,7 +306,7 @@ def diagnostics(series, spec: NormSpec) -> list:
 
         c1 * integral_0^t || exp(c1 tau H) g ||^2_{alpha+1} d tau
 
-    accumulated by the trapezoid rule over the sample grid.
+    summed by the trapezoid rule over the sample grid.
     """
     rows = []
     integral = 0.0

@@ -326,12 +326,10 @@ def run_checks(level: str = "fast", seed: int = 12345) -> dict:
         check_eigenvalue_bound(),
         check_energy_decay(rng, N=16 if full else 8, runs=3 if full else 2),
     ]
-    from ._jit import JIT_ENABLED
 
     return {
         "level": level,
         "seed": seed,
-        "jit": JIT_ENABLED,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import landau_spectral
 from landau_spectral.basis import load_state_csv, nullspace_norm, s2_norm
 from landau_spectral.cli import (
     RunConfig,
@@ -103,17 +106,34 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(self.base(tmp_path, c1=2.0))
 
-    def test_unknown_init_kind(self, tmp_path):
-        cfg = RunConfig.from_dict(self.base(tmp_path, init={"kind": "nope"}))
+    @pytest.mark.parametrize(
+        "init",
+        [
+            {"kind": "nope"},
+            {"kind": "single-mode", "mode": 5},
+            {"kind": "single-mode", "mode": ["a", 0, 0]},
+            {"kind": "single-mode", "mode": [0, 2, 0], "amplitude": [1.0]},
+            {"kind": "single-mode", "mode": [0, 2, 0], "amplitude": [1, 2, 3]},
+        ],
+        ids=["unknown-kind", "mode-scalar", "mode-not-int", "amplitude-short", "amplitude-long"],
+    )
+    def test_unknown_init_kind(self, tmp_path, init):
+        cfg = RunConfig.from_dict(self.base(tmp_path, init=init))
         with pytest.raises(ConfigError):
             build_initial_state(cfg)
 
 
 def run_cli(args):
+    # The child inherits this environment and imports the same package as this
+    # process, whether it comes from a source tree or from an install.
+    package_root = str(Path(landau_spectral.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "landau_spectral.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

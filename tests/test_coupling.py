@@ -11,6 +11,7 @@ from landau_spectral.coupling import (
     A3,
     A_minus,
     A_plus,
+    CHANNELS,
     build_tensor,
     coef_tilde_C,
     diag_coef,
@@ -265,10 +266,9 @@ class TestTensorCache:
         save_tensor(tensor, path)
         back = load_tensor(path, expected_N=5)
         assert back.N == 5
-        np.testing.assert_array_equal(back.tgt, tensor.tgt)
-        np.testing.assert_array_equal(back.src, tensor.src)
-        np.testing.assert_array_equal(back.drv, tensor.drv)
-        np.testing.assert_array_equal(back.coef, tensor.coef)
+        for name in CHANNELS:
+            for got, want in zip(back.channels[name], tensor.channels[name], strict=True):
+                np.testing.assert_array_equal(got, want)
 
     def test_checksum_mismatch(self, tmp_path):
         tensor = build_tensor(3)

@@ -1,56 +1,54 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""The scatter kernel of the bilinear apply: `CouplingTensor.apply`.
+
+The stencil is held twice: per channel as (tgt, src, drv, mdrv, coef) entry
+arrays, and as the summed CSR matrix that `apply` multiplies.  These tests
+check that the CSR apply equals a plain scatter over the entries.
+"""
 
 import numpy as np
 
-import landau_spectral
-from landau_spectral.coupling import build_tensor
-from landau_spectral.kernels import accumulate_numba, accumulate_numpy
+from landau_spectral.basis import SpectralState, mode_table
+from landau_spectral.coupling import CHANNELS, _assemble, build_tensor
+from landau_spectral.operators import apply_bilinear
 
 
 def test_backends_agree():
     tensor = build_tensor(8)
+    # some target is fed by several entries of one driver, so the sums matter
+    pairs = np.concatenate(
+        [np.stack([arrays[2], arrays[0]], axis=1) for arrays in tensor.channels.values()]
+    )
+    assert len(np.unique(pairs, axis=0)) < len(pairs)
+
     rng = np.random.default_rng(31)
-    n = int(tensor.tgt.max()) + 1
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    out_a = np.zeros(n, dtype=np.complex128)
-    out_b = np.zeros(n, dtype=np.complex128)
-    accumulate_numba(out_a, tensor.coef, tensor.tgt, tensor.src, tensor.drv, f, g)
-    accumulate_numpy(out_b, tensor.coef, tensor.tgt, tensor.src, tensor.drv, f, g)
-    np.testing.assert_allclose(out_a, out_b, rtol=1e-13, atol=1e-13)
+    size = len(mode_table(8))
+    f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    want = np.zeros(size, dtype=np.complex128)
+    for tgt, src, drv, _mdrv, coef in tensor.channels.values():
+        for t, s, d, c in zip(tgt, src, drv, coef):
+            want[t] += c * f[d] * g[s]
+    got = apply_bilinear(SpectralState(8, f), SpectralState(8, g), tensor)
+    np.testing.assert_allclose(got.coeffs, want, rtol=1e-13, atol=1e-13)
 
 
 def test_repeated_targets_accumulate():
-    coef = np.array([1.0, 2.0, 3.0])
-    tgt = np.array([0, 0, 1], dtype=np.int64)
-    src = np.array([0, 1, 1], dtype=np.int64)
-    drv = np.array([0, 0, 0], dtype=np.int64)
-    f = np.array([1.0 + 0j, 0.0j])
-    g = np.array([2.0 + 0j, 1.0 + 1j])
-    for backend in (accumulate_numba, accumulate_numpy):
-        out = np.zeros(2, dtype=np.complex128)
-        backend(out, coef, tgt, src, drv, f, g)
-        assert out[0] == 1.0 * 2.0 + 2.0 * (1 + 1j)
-        assert out[1] == 3.0 * (1 + 1j)
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "import landau_spectral.kernels as k; import landau_spectral._jit as j; "
-        "assert not j.JIT_ENABLED; assert k.accumulate is k.accumulate_numpy; print('ok')"
-    )
-    # The child must import the same package as this process, whether it comes
-    # from a source tree on PYTHONPATH or from an install.
-    package_root = str(Path(landau_spectral.__file__).parents[1])
-    env = dict(os.environ, LANDAU_JIT="0")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0 and proc.stdout.strip() == "ok"
+    # entries (tgt, src, drv, mdrv, coef); the last two share (drv, tgt, src)
+    rows = {name: [] for name in CHANNELS}
+    rows["diag"] = [
+        (0, 0, 0, 0, 1.0),
+        (0, 1, 0, 0, 2.0),
+        (1, 1, 0, 0, 3.0),
+        (1, 0, 0, 0, 0.5),
+        (1, 0, 0, 0, 0.25),
+    ]
+    tensor = _assemble(2, rows)
+    n = len(mode_table(2))
+    f = np.zeros(n, dtype=np.complex128)
+    g = np.zeros(n, dtype=np.complex128)
+    f[0] = 1.0
+    g[0], g[1] = 2.0, 1.0 + 1j
+    out = tensor.apply(f, g)
+    assert out[0] == 1.0 * 2.0 + 2.0 * (1 + 1j)
+    assert out[1] == 3.0 * (1 + 1j) + (0.5 + 0.25) * 2.0
+    assert not out[2:].any()

@@ -70,25 +70,6 @@ class TestApplyBilinear:
         assert h[(1, 2, 0)] == pytest.approx(4 * math.sqrt(21) / 3, rel=1e-13)
         assert np.abs(h.coeffs).sum() == pytest.approx(abs(h[(1, 2, 0)]), rel=1e-13)
 
-    def test_matches_reference_scatter(self):
-        tensor = build_tensor(8)
-        # some target is fed by several entries of one driver, so the sums matter
-        pairs = np.concatenate(
-            [np.stack([arrays[2], arrays[0]], axis=1) for arrays in tensor.channels.values()]
-        )
-        assert len(np.unique(pairs, axis=0)) < len(pairs)
-
-        rng = np.random.default_rng(31)
-        size = len(mode_table(8))
-        f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        want = np.zeros(size, dtype=np.complex128)
-        for tgt, src, drv, _mdrv, coef in tensor.channels.values():
-            for t, s, d, c in zip(tgt, src, drv, coef):
-                want[t] += c * f[d] * g[s]
-        got = apply_bilinear(SpectralState(8, f), SpectralState(8, g), tensor)
-        np.testing.assert_allclose(got.coeffs, want, rtol=1e-13, atol=1e-13)
-
     def test_dimension_mismatch(self):
         tensor = build_tensor(4)
         with pytest.raises(DimensionMismatchError):

@@ -209,9 +209,15 @@ def load_or_build_tensor(N: int, cache_dir: Path) -> CouplingTensor:
     start = time.perf_counter()
     tensor = build_tensor(N)
     built = time.perf_counter() - start
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_tensor(tensor, path)
-    log.info("coupling tensor N=%d built in %.3fs (cached to %s)", N, built, path)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        save_tensor(tensor, path)
+    except OSError as exc:
+        # the built tensor is all this run needs; only later runs lose the cache
+        msg = "coupling tensor N=%d built in %.3fs but not cached: cannot write %s (%s)"
+        log.warning(msg, N, built, path, exc)
+    else:
+        log.info("coupling tensor N=%d built in %.3fs (cached to %s)", N, built, path)
     return tensor
 
 

@@ -3,11 +3,16 @@
 Everything angular reduces to Gaunt integrals of three spherical harmonics
 over the unit sphere.  After the azimuthal integral enforces m1+m2+m3 = 0 the
 integrand is a polynomial of degree l1+l2+l3 in cos(theta), so Gauss-Legendre
-quadrature of order (l1+l2+l3)/2 + 1 evaluates the integral exactly (to
-roundoff).  This avoids translating between the package's phase-free
-harmonics and the Condon-Shortley convention baked into Wigner-3j closed
-forms; a 3j cross-check lives in the test suite behind an explicit sign
-translation layer.
+quadrature evaluates it exactly (to roundoff).  Quadrature avoids translating
+between the package's phase-free harmonics and the Condon-Shortley convention
+baked into Wigner-3j closed forms; a 3j cross-check lives in the test suite
+behind an explicit sign translation layer.
+
+The scalar ``gaunt`` uses a rule of order (l1+l2+l3)/2 + 1 per integral and
+serves as the oracle.  The tensor needs only integrals with one factor of
+degree 1 or 2 (the drivers), all exact under one rule of order N + 2, so
+``build_tensor`` tabulates the theta-factors once at its nodes and forms every
+channel as array expressions over the mode table.
 
 Five coefficient families drive the bilinear operator:
 
@@ -31,7 +36,7 @@ from scipy.sparse import csr_matrix
 
 from .basis import Mode, mode_table
 from .errors import CapacityError, TensorCacheError
-from .specfun import gauss_legendre, normalized_plm
+from .specfun import gauss_legendre, normalized_plm, normalized_plm_table
 
 MAX_SHELL = 64
 
@@ -243,70 +248,84 @@ class CouplingTensor:
         return grouped
 
 
-def _tensor_rows(N: int):
-    """Enumerate (channel, target, source, driver, mdrv, coef) entries."""
+# Ladder channels: target (n, l, m) <- source (n - dn, l + dl, m - md) through
+# driver (0, d, md), with coefficient radial(n, l) * gaunt(d, md, l + dl, m - md, l, -m).
+# The radial factors are those of A_minus, A_plus, A1, A2, A3 in target indices.
+_LADDERS = (
+    ("Am", 1, 1, 1, lambda n, l: 4.0 * _SQRT_PI_3 * l * np.sqrt(2.0 * n)),
+    ("Ap", 1, 0, -1, lambda n, l: 4.0 * _SQRT_PI_3 * (l + 1) * np.sqrt(2.0 * n + 2.0 * l + 1.0)),
+    ("A1", 2, 2, 2, lambda n, l: -4.0 * _SQRT_PI_15 * np.sqrt(4.0 * n * (n - 1))),
+    ("A2", 2, 1, 0, lambda n, l: 4.0 * _SQRT_PI_15 * np.sqrt(2.0 * n * (2.0 * n + 2.0 * l + 1.0))),
+    ("A3", 2, 0, -2, lambda n, l: -4.0 * _SQRT_PI_15 * np.sqrt((2 * n + 2 * l + 1.0) * (2 * n + 2 * l - 1.0))),
+)
+
+
+def _gaunt_factors(theta: np.ndarray, weights: np.ndarray, d: int, dl: int) -> np.ndarray:
+    """gaunt(d, md, l + dl, m - md, l, -m) for every l <= N, |m| <= l, |md| <= d.
+
+    Row l*(l+1) + m, column md + d.  ``theta`` is ``normalized_plm_table(N, .)``
+    at the nodes of a Gauss-Legendre rule exact to degree 2N + 2, which covers
+    every integrand with d <= 2.  Entries that a selection rule (source order or
+    degree out of range, triangle) sets to zero are exactly zero.
+    """
+    N = theta.shape[0] - 1
+    l = np.repeat(np.arange(N + 1), 2 * np.arange(N + 1) + 1)[:, None]
+    m = np.arange(len(l))[:, None] - l * (l + 1)
+    md = np.arange(-d, d + 1)
+    ls = l + dl
+    ms = np.abs(m - md)
+    ok = (ls >= 0) & (ls <= N) & (ms <= ls) & (d <= l + ls)
+    prod = theta[np.where(ok, ls, 0), np.where(ok, ms, 0)] * theta[d, np.abs(md)]
+    prod *= theta[l, np.abs(m)]
+    return np.where(ok, 2.0 * math.pi * (prod @ weights), 0.0)
+
+
+def _tensor_columns(N: int) -> dict:
+    """Per-channel (tgt, src, drv, mdrv, coef) arrays, by target then driver order."""
     table = mode_table(N)
-    rows = {name: [] for name in CHANNELS}
-    idx = table.index
-    for ti, (n, l, m) in enumerate(table.modes):
-        c = diag_coef(n, l)
-        if c != 0.0:
-            rows["diag"].append((ti, ti, idx[Mode(0, 0, 0)], 0, c))
-        for m1 in (-1, 0, 1):
-            ms = m - m1
-            if n >= 1 and abs(ms) <= l + 1:
-                c = A_minus(n - 1, l + 1, ms, m1)
-                if c != 0.0:
-                    rows["Am"].append(
-                        (ti, idx[Mode(n - 1, l + 1, ms)], idx[Mode(0, 1, m1)], m1, c)
-                    )
-            if l >= 1 and abs(ms) <= l - 1:
-                c = A_plus(n, l - 1, ms, m1)
-                if c != 0.0:
-                    rows["Ap"].append(
-                        (ti, idx[Mode(n, l - 1, ms)], idx[Mode(0, 1, m1)], m1, c)
-                    )
-        if n >= 1:
-            c = drift_coef(n, l)
-            if c != 0.0:
-                rows["drift"].append(
-                    (ti, idx[Mode(n - 1, l, m)], idx[Mode(1, 0, 0)], 0, c)
-                )
-        for m2 in range(-2, 3):
-            ms = m - m2
-            if n >= 2 and abs(ms) <= l + 2:
-                c = A1(n - 2, l + 2, ms, m2)
-                if c != 0.0:
-                    rows["A1"].append(
-                        (ti, idx[Mode(n - 2, l + 2, ms)], idx[Mode(0, 2, m2)], m2, c)
-                    )
-            if n >= 1 and abs(ms) <= l:
-                c = A2(n - 1, l, ms, m2)
-                if c != 0.0:
-                    rows["A2"].append(
-                        (ti, idx[Mode(n - 1, l, ms)], idx[Mode(0, 2, m2)], m2, c)
-                    )
-            if l >= 2 and abs(ms) <= l - 2:
-                c = A3(n, l - 2, ms, m2)
-                if c != 0.0:
-                    rows["A3"].append(
-                        (ti, idx[Mode(n, l - 2, ms)], idx[Mode(0, 2, m2)], m2, c)
-                    )
-    return rows
+    n, l, m = table.n, table.l, table.m
+    first = m == -l
+    start = np.zeros((N // 2 + 1, N + 1), dtype=np.int64)
+    start[n[first], l[first]] = np.flatnonzero(first)
+
+    def flat(nn, ll, mm):
+        return start[nn, ll] + ll + mm
+
+    t = np.flatnonzero(n + l > 0)  # diag_coef vanishes only on (0, 0, 0)
+    diag = -(2.0 * (2 * n[t] + l[t]) + l[t] * (l[t] + 1))
+    columns = {"diag": (t, t, np.full_like(t, flat(0, 0, 0)), np.zeros_like(t), diag)}
+    t = np.flatnonzero(n >= 1)
+    drift = 4.0 * np.sqrt(3.0 * n[t] * (2.0 * n[t] + 2.0 * l[t] + 1.0)) / 3.0
+    src = flat(n[t] - 1, l[t], m[t])
+    columns["drift"] = (t, src, np.full_like(t, flat(1, 0, 0)), np.zeros_like(t), drift)
+    # one rule exact for every integrand here, evaluated once
+    rule = gauss_legendre(N + 2)
+    theta = normalized_plm_table(N, rule.nodes)
+    lm = l * (l + 1) + m
+    for name, d, dn, dl, radial in _LADDERS:
+        gaunts = _gaunt_factors(theta, rule.weights, d, dl)[lm]
+        t, j = np.nonzero((n >= dn)[:, None] & (gaunts != 0.0))
+        coef = radial(n[t], l[t]) * gaunts[t, j]
+        keep = coef != 0.0  # Am vanishes on l = 0
+        t, md, coef = t[keep], j[keep] - d, coef[keep]
+        columns[name] = (t, flat(n[t] - dn, l[t] + dl, m[t] - md), flat(0, d, md), md, coef)
+    return columns
 
 
-def _assemble(N: int, rows: dict) -> CouplingTensor:
+_COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64)
+
+
+def _assemble(N: int, columns: dict) -> CouplingTensor:
+    """Tensor from per-channel (tgt, src, drv, mdrv, coef) column arrays."""
     channels = {}
     for name in CHANNELS:
-        entries = rows[name]
-        tgt = np.array([e[0] for e in entries], dtype=np.int64)
-        src = np.array([e[1] for e in entries], dtype=np.int64)
-        drv = np.array([e[2] for e in entries], dtype=np.int64)
-        mdrv = np.array([e[3] for e in entries], dtype=np.int64)
-        coef = np.array([e[4] for e in entries], dtype=np.float64)
-        for arr in (tgt, src, drv, mdrv, coef):
+        arrays = tuple(
+            np.asarray(col, dtype=dtype)
+            for col, dtype in zip(columns[name], _COLUMN_DTYPES, strict=True)
+        )
+        for arr in arrays:
             arr.flags.writeable = False
-        channels[name] = (tgt, src, drv, mdrv, coef)
+        channels[name] = arrays
     tgt, src, drv, _mdrv, coef = (np.concatenate(arrs) for arrs in zip(*channels.values()))
     drivers, slot = np.unique(drv, return_inverse=True)
     drivers.flags.writeable = False
@@ -328,7 +347,7 @@ def build_tensor(N: int) -> CouplingTensor:
         raise ValueError(f"truncation must be >= 2, got {N}")
     if N > MAX_SHELL:
         raise CapacityError(f"truncation {N} exceeds maximum shell {MAX_SHELL}")
-    return _assemble(N, _tensor_rows(N))
+    return _assemble(N, _tensor_columns(N))
 
 
 def save_tensor(tensor: CouplingTensor, path) -> None:
@@ -385,7 +404,7 @@ def load_tensor(path, expected_N: int | None = None) -> CouplingTensor:
         raise TensorCacheError(f"{path}: cache holds N={N}, expected N={expected_N}")
     table = mode_table(N)
     idx = table.index
-    rows = {name: [] for name in CHANNELS}
+    columns = {name: ([], [], [], [], []) for name in CHANNELS}
     for lineno, line in enumerate(lines[1:-1], start=2):
         parts = line.split(",")
         if len(parts) != 9 or parts[0] not in CHANNELS:
@@ -399,5 +418,6 @@ def load_tensor(path, expected_N: int | None = None) -> CouplingTensor:
             di = idx[_DRIVER_MODE[name](mdrv)]
         except KeyError as exc:
             raise TensorCacheError(f"{path}:{lineno}: mode outside table") from exc
-        rows[name].append((ti, si, di, mdrv, coef))
-    return _assemble(N, rows)
+        for col, value in zip(columns[name], (ti, si, di, mdrv, coef)):
+            col.append(value)
+    return _assemble(N, columns)

@@ -87,31 +87,25 @@ def assoc_legendre(l: int, m: int, x):
     return pm1 if pm1.ndim else float(pm1)
 
 
-def normalized_plm(l: int, m: int, x):
-    """N_{l,m} P_l^{|m|}(x), the theta-part of Y_l^m.
+def _plm_upward(m: int, x, lmax: int):
+    """Yield N_{l,m} P_l^m(x) for l = m, m+1, ..., lmax (m >= 0).
 
-    Computed with the fully normalized recurrence (seed and l-raising both
-    carry the normalization), which stays O(1) in magnitude for all l and
-    avoids the factorial over/underflow of normalizing at the end.
+    The fully normalized recurrence (seed and l-raising both carry the
+    normalization) stays O(1) in magnitude for all l and avoids the
+    factorial over/underflow of normalizing at the end.
     """
-    m = abs(m)
-    if m > l:
-        raise ValueError(f"normalized_plm requires |m| <= l, got l={l} m={m}")
-    x = np.asarray(x, dtype=float)
-
     # seed: N_{m,m} P_m^m = sqrt((2m+1)/(4 pi)) sqrt((2m-1)!!/(2m)!!) s^m
     p = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))
     if m > 0:
         s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
         for k in range(1, m + 1):
             p = p * s * math.sqrt((2 * k + 1) / (2.0 * k))
-    if l == m:
-        return p if p.ndim else float(p)
-
+    yield p
+    if lmax == m:
+        return
     pm1 = math.sqrt(2 * m + 3.0) * x * p
-    if l == m + 1:
-        return pm1 if pm1.ndim else float(pm1)
-    for ll in range(m + 2, l + 1):
+    yield pm1
+    for ll in range(m + 2, lmax + 1):
         a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
         b = math.sqrt(
             (2.0 * ll + 1.0)
@@ -120,7 +114,29 @@ def normalized_plm(l: int, m: int, x):
             / ((2.0 * ll - 3.0) * (ll * ll - m * m))
         )
         p, pm1 = pm1, a * x * pm1 - b * p
-    return pm1 if pm1.ndim else float(pm1)
+        yield pm1
+
+
+def normalized_plm(l: int, m: int, x):
+    """N_{l,m} P_l^{|m|}(x), the theta-part of Y_l^m."""
+    m = abs(m)
+    if m > l:
+        raise ValueError(f"normalized_plm requires |m| <= l, got l={l} m={m}")
+    *_, p = _plm_upward(m, np.asarray(x, dtype=float), l)
+    return p if p.ndim else float(p)
+
+
+def normalized_plm_table(lmax: int, x) -> np.ndarray:
+    """Array T with T[l, m] = normalized_plm(l, m, x) for 0 <= m <= l <= lmax.
+
+    Entries with m > l are zero.  Shape (lmax+1, lmax+1) + x.shape.
+    """
+    x = np.asarray(x, dtype=float)
+    table = np.zeros((lmax + 1, lmax + 1) + x.shape)
+    for m in range(lmax + 1):
+        for l, p in enumerate(_plm_upward(m, x, lmax), start=m):
+            table[l, m] = p
+    return table
 
 
 def ylm(l: int, m: int, theta, phi):

@@ -188,6 +188,18 @@ class TestRunCommand:
         assert "built in" in first.stderr
         assert "loaded from cache" in second.stderr
 
+    def test_unwritable_cache_keeps_built_tensor(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, so no directory can be made under it\n")
+        cfg = self.write_config(tmp_path, truncation=6, tensor_dir=str(blocker / "cache"))
+        proc = run_cli(["run", "--config", str(cfg)])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "diag.csv").read_text().startswith("t,q_alpha_norm")
+        final = load_state_csv(tmp_path / "final.csv", truncation=6)
+        assert complex(final[(0, 2, 0)]) == pytest.approx(math.exp(-6.0), rel=1e-8)
+        warnings = [line for line in proc.stderr.splitlines() if line.startswith("WARNING")]
+        assert any(str(blocker / "cache") in line for line in warnings)
+
     def test_deterministic_output(self, tmp_path):
         cfg = self.write_config(tmp_path)
         run_cli(["run", "--config", str(cfg)])

@@ -12,6 +12,8 @@ from landau_spectral.coupling import (
     A_minus,
     A_plus,
     CHANNELS,
+    MAX_SHELL,
+    _gaunt_factors,
     build_tensor,
     coef_tilde_C,
     diag_coef,
@@ -24,6 +26,7 @@ from landau_spectral.coupling import (
     sum_sq_closed_form,
 )
 from landau_spectral.errors import CapacityError, TensorCacheError
+from landau_spectral.specfun import gauss_legendre, normalized_plm_table
 
 SQPI2 = 1 / (2 * math.sqrt(math.pi))
 
@@ -88,6 +91,33 @@ class TestGaunt:
                 continue
             want = wigner_gaunt_oracle(l1, m1, l2, m2, l3, m3)
             assert gaunt(l1, m1, l2, m2, l3, m3) == pytest.approx(want, abs=1e-13)
+            checked += 1
+
+    def test_tabulated_factors_against_wigner(self):
+        # the factors as build_tensor forms them, from one rule tabulated at N = 32
+        pytest.importorskip("sympy")
+        N = 32
+        rule = gauss_legendre(N + 2)
+        theta = normalized_plm_table(N, rule.nodes)
+        tables = {
+            (d, dl): _gaunt_factors(theta, rule.weights, d, dl)
+            for d, dls in ((1, (-1, 1)), (2, (-2, 0, 2)))
+            for dl in dls
+        }
+        rng = np.random.default_rng(37)
+        checked = 0
+        while checked < 40:
+            d = int(rng.integers(1, 3))
+            dl = int(rng.choice((-1, 1) if d == 1 else (-2, 0, 2)))
+            l = int(rng.integers(0, N + 1))
+            m = int(rng.integers(-l, l + 1))
+            md = int(rng.integers(-d, d + 1))
+            ls, ms = l + dl, m - md
+            if not (0 <= ls <= N and abs(ms) <= ls and d <= l + ls):
+                continue
+            want = wigner_gaunt_oracle(d, md, ls, ms, l, -m)
+            got = tables[d, dl][l * (l + 1) + m, md + d]
+            assert got == pytest.approx(want, abs=1e-13)
             checked += 1
 
     def test_bad_order_raises(self):
@@ -205,7 +235,69 @@ class TestChannelSums:
             sum_sq_channel("A1", 3, 1, 2)
 
 
+def reference_tensor_rows(N):
+    """The per-mode loop over the scalar coefficient functions: for every
+    target, channel entries (tgt, src, drv, mdrv, coef) in driver order."""
+    table = mode_table(N)
+    rows = {name: [] for name in CHANNELS}
+    idx = table.index
+    for ti, (n, l, m) in enumerate(table.modes):
+        c = diag_coef(n, l)
+        if c != 0.0:
+            rows["diag"].append((ti, ti, idx[Mode(0, 0, 0)], 0, c))
+        for m1 in (-1, 0, 1):
+            ms = m - m1
+            if n >= 1 and abs(ms) <= l + 1:
+                c = A_minus(n - 1, l + 1, ms, m1)
+                if c != 0.0:
+                    rows["Am"].append((ti, idx[Mode(n - 1, l + 1, ms)], idx[Mode(0, 1, m1)], m1, c))
+            if l >= 1 and abs(ms) <= l - 1:
+                c = A_plus(n, l - 1, ms, m1)
+                if c != 0.0:
+                    rows["Ap"].append((ti, idx[Mode(n, l - 1, ms)], idx[Mode(0, 1, m1)], m1, c))
+        if n >= 1:
+            c = drift_coef(n, l)
+            if c != 0.0:
+                rows["drift"].append((ti, idx[Mode(n - 1, l, m)], idx[Mode(1, 0, 0)], 0, c))
+        for m2 in range(-2, 3):
+            ms = m - m2
+            if n >= 2 and abs(ms) <= l + 2:
+                c = A1(n - 2, l + 2, ms, m2)
+                if c != 0.0:
+                    rows["A1"].append((ti, idx[Mode(n - 2, l + 2, ms)], idx[Mode(0, 2, m2)], m2, c))
+            if n >= 1 and abs(ms) <= l:
+                c = A2(n - 1, l, ms, m2)
+                if c != 0.0:
+                    rows["A2"].append((ti, idx[Mode(n - 1, l, ms)], idx[Mode(0, 2, m2)], m2, c))
+            if l >= 2 and abs(ms) <= l - 2:
+                c = A3(n, l - 2, ms, m2)
+                if c != 0.0:
+                    rows["A3"].append((ti, idx[Mode(n, l - 2, ms)], idx[Mode(0, 2, m2)], m2, c))
+    return rows
+
+
 class TestBuildTensor:
+    @pytest.mark.parametrize("N", [2, 3, 8, 16])
+    def test_matches_reference_loop(self, N):
+        tensor = build_tensor(N)
+        rows = reference_tensor_rows(N)
+        for name in CHANNELS:
+            tgt, src, drv, mdrv, coef = tensor.channels[name]
+            ref = np.array([e[:4] for e in rows[name]], dtype=np.int64).reshape(-1, 4)
+            for got, want in zip((tgt, src, drv, mdrv), ref.T, strict=True):
+                np.testing.assert_array_equal(got, want)
+            want = np.array([e[4] for e in rows[name]])
+            scale = np.max(np.abs(want), initial=0.0)
+            np.testing.assert_allclose(coef, want, rtol=0, atol=1e-12 * scale)
+        if N == 16:
+            assert len(tensor) == 14811
+
+    def test_max_shell_entries(self):
+        try:
+            assert len(build_tensor(MAX_SHELL)) == 989_051
+        finally:
+            build_tensor.cache_clear()  # drop the ~100 MB tensor
+
     def test_target_200_a1_channel(self):
         tensor = build_tensor(6)
         table = mode_table(6)

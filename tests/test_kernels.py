@@ -34,15 +34,16 @@ def test_backends_agree():
 
 def test_repeated_targets_accumulate():
     # entries (tgt, src, drv, mdrv, coef); the last two share (drv, tgt, src)
-    rows = {name: [] for name in CHANNELS}
-    rows["diag"] = [
+    rows = [
         (0, 0, 0, 0, 1.0),
         (0, 1, 0, 0, 2.0),
         (1, 1, 0, 0, 3.0),
         (1, 0, 0, 0, 0.5),
         (1, 0, 0, 0, 0.25),
     ]
-    tensor = _assemble(2, rows)
+    columns = {name: ((),) * 5 for name in CHANNELS}
+    columns["diag"] = tuple(zip(*rows))
+    tensor = _assemble(2, columns)
     n = len(mode_table(2))
     f = np.zeros(n, dtype=np.complex128)
     g = np.zeros(n, dtype=np.complex128)

@@ -13,6 +13,7 @@ from landau_spectral.specfun import (
     legendre,
     ln_gamma,
     normalized_plm,
+    normalized_plm_table,
     ylm,
 )
 
@@ -205,6 +206,16 @@ class TestYlm:
                 )
                 direct = norm * np.array([assoc_legendre(l, m, float(x)) for x in xs])
                 np.testing.assert_allclose(normalized_plm(l, m, xs), direct, rtol=1e-11, atol=1e-13)
+
+    def test_normalized_plm_table_is_normalized_plm(self):
+        # the table and the scalar function run one recurrence: equal bit for bit
+        nodes = gauss_legendre(18).nodes
+        table = normalized_plm_table(16, nodes)
+        assert table.shape == (17, 17, 18)
+        for l in range(17):
+            for m in range(17):
+                want = normalized_plm(l, m, nodes) if m <= l else np.zeros_like(nodes)
+                np.testing.assert_array_equal(table[l, m], want)
 
 
 class TestGaussLegendre:

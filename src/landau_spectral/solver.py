@@ -13,6 +13,12 @@ Two routes:
   exactly and the bilinear term explicitly; the phi-function coefficients
   use the contour trick of Kassam & Trefethen (2005).  Plain RK4 is kept
   for cross-validation at small truncations.
+
+Both routes hand back a ``Trajectory``: the sample times and one read-only
+(samples x modes) coefficient block.  ``integrate_numeric`` returns one at
+every step and ``ExpPolyTrajectory.sample`` one at the requested times;
+``diagnostics`` reduces a ``Trajectory`` to per-sample norms with array
+operations over that block.
 """
 
 import math
@@ -21,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    _LOG_MAX,
     Mode,
     NormSpec,
     SpectralState,
     mode_table,
     nullspace_norm,
     s2_norm,
-    weighted_norm,
 )
 from .coupling import CouplingTensor
 from .errors import (
@@ -35,6 +41,7 @@ from .errors import (
     DimensionMismatchError,
     NullSpaceError,
     StepSizeError,
+    WeightOverflowError,
 )
 
 RATE_MERGE_TOL = 1e-9
@@ -42,6 +49,9 @@ RK4_STABILITY = 2.785  # real-axis stability limit of classical RK4
 
 C1_MAX = 16.0 / 11.0
 SMALLNESS_DENOM = 4.0 * math.sqrt(3.0) / 3.0 + math.sqrt(2.0)
+# Coefficients per row block that a trajectory is processed in: each float
+# temporary over a block stays near 256 KiB whatever the truncation.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,52 @@ class IntegratorConfig:
             raise ValueError(f"c1 must lie in [0, 16/11), got {self.c1}")
         if self.alpha > 0:
             raise ValueError(f"alpha must be <= 0, got {self.alpha}")
+
+
+class Trajectory:
+    """Sampled trajectory: ``times`` and a read-only (samples x modes) block.
+
+    Row i of ``coeffs`` holds the coefficients at ``times[i]`` over the mode
+    table of ``truncation``.  As a sequence it yields ``(t, SpectralState)``
+    pairs, and a slice is again a ``Trajectory`` viewing the same block.
+    The block is not copied: the constructor takes read-only views.
+    """
+
+    __slots__ = ("truncation", "times", "coeffs")
+
+    def __init__(self, truncation: int, times, coeffs):
+        times = np.asarray(times, dtype=float).view()
+        coeffs = np.asarray(coeffs, dtype=np.complex128).view()
+        n_modes = len(mode_table(truncation))
+        if times.ndim != 1 or coeffs.shape != (times.size, n_modes):
+            raise ValueError(
+                f"expected a ({times.size}, {n_modes}) coefficient block for times of "
+                f"shape {times.shape} at N={truncation}, got shape {coeffs.shape}"
+            )
+        times.flags.writeable = False
+        coeffs.flags.writeable = False
+        self.truncation = truncation
+        self.times = times
+        self.coeffs = coeffs
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory(self.truncation, self.times[index], self.coeffs[index])
+        t = float(self.times[index])
+        return t, SpectralState(self.truncation, self.coeffs[index], t=t)
+
+    def __iter__(self):
+        for i in range(len(self.times)):
+            yield self[i]
+
+    def row_blocks(self):
+        """Slices of consecutive rows holding about BLOCK_ELEMENTS coefficients each."""
+        rows = max(1, BLOCK_ELEMENTS // self.coeffs.shape[1])
+        for lo in range(0, len(self.times), rows):
+            yield slice(lo, lo + rows)
 
 
 def _trim(poly: np.ndarray) -> np.ndarray:
@@ -141,8 +197,12 @@ class ExpPolyTrajectory:
     def state(self, t: float) -> SpectralState:
         return SpectralState(self.truncation, self.eval_coeffs(t), t=t)
 
-    def sample(self, times) -> list:
-        return [(float(t), self.state(float(t))) for t in np.asarray(times, dtype=float)]
+    def sample(self, times) -> Trajectory:
+        times = np.asarray(times, dtype=float)
+        coeffs = np.empty((len(times), len(mode_table(self.truncation))), dtype=np.complex128)
+        for i, t in enumerate(times.tolist()):
+            coeffs[i] = self.eval_coeffs(t)
+        return Trajectory(self.truncation, times, coeffs)
 
     def mode_terms(self, mode) -> tuple:
         table = mode_table(self.truncation)
@@ -225,8 +285,8 @@ def _check_finite(y: np.ndarray, t: float, table) -> None:
 
 def integrate_numeric(
     init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig
-) -> list:
-    """Step the full quadratic system, returning [(t, state)] at dt multiples.
+) -> Trajectory:
+    """Step the full quadratic system, returning the state at every dt multiple.
 
     etd-rk4 handles the diagonal exactly and has no step-size restriction
     from the linear part; rk4 refuses steps beyond its stability bound.
@@ -242,8 +302,10 @@ def integrate_numeric(
     dt = cfg.dt
     n_steps = int(math.floor(cfg.t_final / dt + 1e-9))
 
-    y = init.coeffs.copy()
-    series = [(0.0, init.with_coeffs(y, t=0.0))]
+    times = np.arange(n_steps + 1) * dt
+    coeffs = np.empty((n_steps + 1, len(table)), dtype=np.complex128)
+    y = init.coeffs
+    coeffs[0] = y
 
     if cfg.method == "rk4":
         zmax = dt * float(np.max(lam))
@@ -263,10 +325,9 @@ def integrate_numeric(
                 k3 = rhs(y + 0.5 * dt * k2)
                 k4 = rhs(y + dt * k3)
                 y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                t = step * dt
-                _check_finite(y, t, table)
-                series.append((t, init.with_coeffs(y, t=t)))
-        return series
+                _check_finite(y, step * dt, table)
+                coeffs[step] = y
+        return Trajectory(init.truncation, times, coeffs)
 
     e_full, e_half, f0, f1, f2, f3 = _etdrk4_coeffs(lam, dt)
     # overflowing amplitudes produce inf/nan mid-step; the finite check below
@@ -281,10 +342,9 @@ def integrate_numeric(
             c = e_half * a + f0 * (2.0 * n2 - n0)
             n3 = tensor.apply(c, c)
             y = e_full * y + f1 * n0 + 2.0 * f2 * (n1 + n2) + f3 * n3
-            t = step * dt
-            _check_finite(y, t, table)
-            series.append((t, init.with_coeffs(y, t=t)))
-    return series
+            _check_finite(y, step * dt, table)
+            coeffs[step] = y
+    return Trajectory(init.truncation, times, coeffs)
 
 
 @dataclass(frozen=True)
@@ -297,7 +357,7 @@ class DiagnosticsRow:
     energy_integral: float
 
 
-def diagnostics(series, spec: NormSpec) -> list:
+def diagnostics(traj: Trajectory, spec: NormSpec) -> list:
     """Per-sample norms along a trajectory.
 
     Emits the plain weighted norm, the Gaussian-weighted (smoothing) norm
@@ -307,29 +367,60 @@ def diagnostics(series, spec: NormSpec) -> list:
         c1 * integral_0^t || exp(c1 tau H) g ||^2_{alpha+1} d tau
 
     summed by the trapezoid rule over the sample grid.
+
+    The block is reduced one row block at a time: |g|^2 is summed per
+    shell (the mode table is ordered by shell, so each shell is one
+    contiguous run of modes), and the three norms are sums over shells of
+    those energies times exp(2 c1 t h_k + alpha log h_k).  A populated shell
+    whose log-weight leaves the double range raises WeightOverflowError for
+    the earliest such sample, in the order the norms are listed above.
     """
-    rows = []
-    integral = 0.0
-    prev_t = None
-    prev_e = None
-    for t, state in series:
-        q_norm = weighted_norm(state, NormSpec(alpha=spec.alpha))
-        gs = weighted_norm(state, NormSpec(alpha=spec.alpha, c1=spec.c1, t=t))
-        e = weighted_norm(state, NormSpec(alpha=spec.alpha + 1.0, c1=spec.c1, t=t)) ** 2
-        if prev_t is not None:
-            integral += 0.5 * (t - prev_t) * (e + prev_e)
-        prev_t, prev_e = t, e
-        rows.append(
-            DiagnosticsRow(
-                t=t,
-                q_alpha_norm=q_norm,
-                gs_norm=gs,
-                s2_norm=s2_norm(state),
-                nullspace_residual=nullspace_norm(state),
-                energy_integral=spec.c1 * integral,
-            )
-        )
-    return rows
+    table = mode_table(traj.truncation)
+    starts = np.searchsorted(table.shell, np.arange(table.N + 1))
+    h = table.hweight[starts]
+    log_h = np.log(h)
+    w_q = spec.alpha * log_h
+    # per sample: squared q_alpha, gs and (alpha+1) norms; s2 and null-space norms
+    reduced = np.empty((5, len(traj)))
+    for rows in traj.row_blocks():
+        block = traj.coeffs[rows]
+        sq = np.square(block.real)
+        sq += np.square(block.imag)
+        energy = np.add.reduceat(sq, starts, axis=1)
+        rate = 2.0 * spec.c1 * traj.times[rows, None] * h
+        w_g = rate + w_q
+        w_e = rate + (spec.alpha + 1.0) * log_h
+        weights = (w_q, w_g, w_e)
+        if max(w_q.max(), w_e.max()) > _LOG_MAX:
+            _raise_weight_overflow(block, starts, *weights)
+            # every shell beyond the range is empty here: weight it 0, not inf
+            weights = [np.where(w > _LOG_MAX, -np.inf, w) for w in weights]
+        for j, w in enumerate(weights):
+            reduced[j, rows] = np.sum(energy * np.exp(w), axis=1)
+        reduced[3, rows] = np.linalg.norm(block[:, table.s2_indices], axis=1)
+        reduced[4, rows] = np.linalg.norm(block[:, table.null_indices], axis=1)
+
+    t = traj.times
+    trapezoids = 0.5 * np.diff(t) * (reduced[2, 1:] + reduced[2, :-1])
+    integral = spec.c1 * np.cumsum(np.concatenate(([0.0], trapezoids)))
+    columns = (t, np.sqrt(reduced[0]), np.sqrt(reduced[1]), reduced[3], reduced[4], integral)
+    return [DiagnosticsRow(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _raise_weight_overflow(block, starts, w_q, w_g, w_e) -> None:
+    """Raise for the first row of `block` with a populated shell beyond the
+    double range; each row checks its weights in the order of the norms."""
+    populated = np.logical_or.reduceat(block != 0, starts, axis=1)
+    over = populated & (np.maximum(w_q, w_e) > _LOG_MAX)  # w_g < w_e everywhere
+    rows = np.flatnonzero(over.any(axis=1))
+    if rows.size == 0:
+        return
+    r = rows[0]
+    for w in (w_q, w_g[r], w_e[r]):
+        bad = populated[r] & (w > _LOG_MAX)
+        if np.any(bad):
+            k = int(np.argmax(np.where(bad, w, -np.inf)))
+            raise WeightOverflowError(k, float(w[k]))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import landau_spectral
-from landau_spectral.basis import load_state_csv, nullspace_norm, s2_norm
+from landau_spectral.basis import load_state_csv, nullspace_norm, s2_norm, save_state_csv
 from landau_spectral.cli import (
     RunConfig,
     build_initial_state,
@@ -19,7 +19,10 @@ from landau_spectral.cli import (
     init_single_mode,
     main,
 )
+from landau_spectral.coupling import build_tensor
 from landau_spectral.errors import ConfigError, StateFileError
+from landau_spectral.solver import solve_cascade
+from landau_spectral.verification import random_tilde_state
 
 
 def double_factorial(n):
@@ -123,6 +126,18 @@ class TestRunConfig:
             build_initial_state(cfg)
 
 
+def reference_write_trajectory_csv(series, path):
+    """The state-by-state trajectory writer, the oracle for `write_trajectory_csv`."""
+    with open(path, "w") as fh:
+        fh.write("t,n,l,m,re,im\n")
+        for t, state in series:
+            for mo, amp in state.nonzero_items():
+                fh.write(
+                    f"{format(t, '.17g')},{mo.n},{mo.l},{mo.m},"
+                    f"{format(amp.real, '.17g')},{format(amp.imag, '.17g')}\n"
+                )
+
+
 def run_cli(args):
     # The child inherits this environment and imports the same package as this
     # process, whether it comes from a source tree or from an install.
@@ -199,6 +214,42 @@ class TestRunCommand:
         assert complex(final[(0, 2, 0)]) == pytest.approx(math.exp(-6.0), rel=1e-8)
         warnings = [line for line in proc.stderr.splitlines() if line.startswith("WARNING")]
         assert any(str(blocker / "cache") in line for line in warnings)
+
+    def test_c1_without_smallness_threshold(self, tmp_path):
+        # IntegratorConfig accepts c1 < 16/11; the threshold exists only below 32/33
+        cfg = self.write_config(tmp_path, c1=1.0)
+        proc = run_cli(["run", "--config", str(cfg)])
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "diag.csv").read_text().splitlines()) == 502
+        final = load_state_csv(tmp_path / "final.csv")
+        assert complex(final[(0, 2, 0)]) == pytest.approx(math.exp(-6.0), rel=1e-8)
+        warnings = [line for line in proc.stderr.splitlines() if line.startswith("WARNING")]
+        assert any("no smallness threshold at c1=1" in line for line in warnings)
+
+    def test_trajectory_csv_matches_state_writer(self, tmp_path):
+        init = random_tilde_state(10, np.random.default_rng(31), s2_scale=0.3)
+        save_state_csv(init, tmp_path / "init.csv")
+        times = [k * 0.002 for k in range(151)]  # two row blocks at N=10
+        cfg = self.write_config(
+            tmp_path,
+            truncation=10,
+            method="cascade",
+            dt=0.002,
+            t_final=0.3,
+            init={"kind": "file", "path": str(tmp_path / "init.csv")},
+            output={
+                "diagnostics": str(tmp_path / "d.csv"),
+                "final_state": str(tmp_path / "f.csv"),
+                "trajectory": str(tmp_path / "traj.csv"),
+            },
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        loaded = load_state_csv(tmp_path / "init.csv", truncation=10)
+        series = solve_cascade(loaded, build_tensor(10)).sample(times)
+        reference_write_trajectory_csv(series, tmp_path / "ref.csv")
+        written = (tmp_path / "traj.csv").read_bytes()
+        assert written.count(b"\n") > 151 * 100
+        assert written == (tmp_path / "ref.csv").read_bytes()
 
     def test_deterministic_output(self, tmp_path):
         cfg = self.write_config(tmp_path)

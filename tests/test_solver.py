@@ -3,12 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from landau_spectral.basis import Mode, NormSpec, SpectralState, mode_table, s2_norm
+from landau_spectral.basis import (
+    Mode,
+    NormSpec,
+    SpectralState,
+    mode_table,
+    nullspace_norm,
+    s2_norm,
+    weighted_norm,
+)
 from landau_spectral.coupling import build_tensor
-from landau_spectral.errors import BlowupError, NullSpaceError, StepSizeError
+from landau_spectral.errors import (
+    BlowupError,
+    NullSpaceError,
+    StepSizeError,
+    WeightOverflowError,
+)
 from landau_spectral.solver import (
+    DiagnosticsRow,
     ExpPolyTrajectory,
     IntegratorConfig,
+    Trajectory,
     check_smallness,
     diagnostics,
     integrate_numeric,
@@ -48,6 +63,32 @@ def rk4_scalar(lam, y0, forcing, t_final, dt=1e-4):
         k4 = -lam * (y + dt * k3) + f(t + dt)
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+def reference_diagnostics(series, spec):
+    """Row-by-row diagnostics through `weighted_norm`, the oracle for `diagnostics`."""
+    rows = []
+    integral = 0.0
+    prev_t = None
+    prev_e = None
+    for t, state in series:
+        q_norm = weighted_norm(state, NormSpec(alpha=spec.alpha))
+        gs = weighted_norm(state, NormSpec(alpha=spec.alpha, c1=spec.c1, t=t))
+        e = weighted_norm(state, NormSpec(alpha=spec.alpha + 1.0, c1=spec.c1, t=t)) ** 2
+        if prev_t is not None:
+            integral += 0.5 * (t - prev_t) * (e + prev_e)
+        prev_t, prev_e = t, e
+        rows.append(
+            DiagnosticsRow(
+                t=t,
+                q_alpha_norm=q_norm,
+                gs_norm=gs,
+                s2_norm=s2_norm(state),
+                nullspace_residual=nullspace_norm(state),
+                energy_integral=spec.c1 * integral,
+            )
+        )
+    return rows
 
 
 class TestSolveModeOde:
@@ -270,9 +311,76 @@ class TestDiagnostics:
         assert rows[-1].energy_integral == pytest.approx(want, rel=5e-5)
 
     def test_zero_state(self):
-        rows = diagnostics([(0.0, SpectralState.zeros(4))], NormSpec(alpha=-1.0, c1=0.1))
+        traj = Trajectory(4, [0.0], SpectralState.zeros(4).coeffs[None, :])
+        rows = diagnostics(traj, NormSpec(alpha=-1.0, c1=0.1))
         assert rows[0].q_alpha_norm == 0.0
         assert rows[0].gs_norm == 0.0
+
+    @pytest.mark.parametrize("case", ["etdrk4-n16", "cascade-n10"])
+    def test_matches_row_loop(self, case):
+        # several row blocks in both cases: 33 rows per block at N=16, 114 at N=10
+        if case == "etdrk4-n16":
+            init = random_tilde_state(16, np.random.default_rng(23), s2_scale=0.3)
+            cfg = IntegratorConfig(method="etd-rk4", dt=1e-3, t_final=0.2)
+            traj = integrate_numeric(init, build_tensor(16), cfg)
+            spec = NormSpec(alpha=-1.0, c1=0.3)
+        else:
+            init = random_tilde_state(10, np.random.default_rng(29), s2_scale=0.3)
+            traj = solve_cascade(init, build_tensor(10)).sample(np.linspace(0.0, 1.5, 151))
+            spec = NormSpec(alpha=-2.0, c1=0.05)
+        got = diagnostics(traj, spec)
+        want = reference_diagnostics(traj, spec)
+        assert len(got) == len(want) == len(traj)
+        for field in DiagnosticsRow.__dataclass_fields__:
+            np.testing.assert_allclose(
+                [getattr(r, field) for r in got],
+                [getattr(r, field) for r in want],
+                rtol=1e-13,
+                atol=0.0,
+                err_msg=field,
+            )
+
+    def test_weight_overflow_on_populated_shell(self):
+        # at c1 t = 80 the weights exp(2 * 80 * h_k) of shells 3 and 4 leave
+        # the double range; the heavier populated one is named
+        table = mode_table(4)
+        coeffs = np.zeros((3, len(table)), dtype=np.complex128)
+        for mode in ((0, 2, 0), (0, 3, 1), (0, 4, 1)):
+            coeffs[:, table.index[Mode(*mode)]] = 1e-3
+        traj = Trajectory(4, [0.0, 1.0, 80.0], coeffs)
+        with pytest.raises(WeightOverflowError, match="shell 4") as info:
+            diagnostics(traj, NormSpec(alpha=0.0, c1=1.0))
+        assert info.value.shell == 4
+        assert info.value.exponent == pytest.approx(2 * 80 * 5.5)
+
+    def test_weight_overflow_ignores_empty_shell(self):
+        table = mode_table(4)
+        coeffs = np.zeros((3, len(table)), dtype=np.complex128)
+        coeffs[:, table.index[Mode(0, 2, 0)]] = 1.0
+        coeffs[:, table.index[Mode(0, 1, -1)]] = 1e-3
+        rows = diagnostics(Trajectory(4, [0.0, 1.0, 80.0], coeffs), NormSpec(alpha=0.0, c1=1.0))
+        assert all(math.isfinite(r.gs_norm) and math.isfinite(r.energy_integral) for r in rows)
+        assert rows[-1].gs_norm == pytest.approx(math.exp(280.0), rel=1e-13)
+
+
+class TestTrajectory:
+    def test_sequence_view(self):
+        table = mode_table(3)
+        coeffs = np.arange(4 * len(table)).reshape(4, len(table)) * (1 + 1j)
+        traj = Trajectory(3, [0.0, 0.1, 0.2, 0.3], coeffs)
+        assert len(traj) == 4
+        assert not traj.coeffs.flags.writeable and not traj.times.flags.writeable
+        t, state = traj[-1]
+        assert t == 0.3 and state.t == 0.3
+        np.testing.assert_array_equal(state.coeffs, coeffs[3])
+        every_other = traj[::2]
+        assert isinstance(every_other, Trajectory)
+        assert [t for t, _ in every_other] == [0.0, 0.2]
+        assert [s.coeffs[5] for _, s in traj] == list(coeffs[:, 5])
+
+    def test_rejects_mismatched_block(self):
+        with pytest.raises(ValueError, match="coefficient block"):
+            Trajectory(3, [0.0, 0.1], np.zeros((2, 5)))
 
 
 class TestTrajectoryImageBound:

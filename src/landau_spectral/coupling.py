@@ -232,21 +232,6 @@ class CouplingTensor:
         # threaded BLAS call, which slows down several-fold on a busy host
         return (f[self.drivers, None] * blocks).sum(axis=0)
 
-    def cascade_by_target(self) -> dict:
-        """Shell-2 driver entries grouped by target flat index.
-
-        Maps tgt -> list of (src, m2, coef) over the A1/A2/A3 channels; this
-        is the stencil of the reduced shell-cascade system.
-        """
-        grouped: dict = {}
-        for name in ("A1", "A2", "A3"):
-            tgt, src, _drv, mdrv, coef = self.channels[name]
-            for i in range(len(coef)):
-                grouped.setdefault(int(tgt[i]), []).append(
-                    (int(src[i]), int(mdrv[i]), float(coef[i]))
-                )
-        return grouped
-
 
 # Ladder channels: target (n, l, m) <- source (n - dn, l + dl, m - md) through
 # driver (0, d, md), with coefficient radial(n, l) * gaunt(d, md, l + dl, m - md, l, -m).

@@ -5,8 +5,11 @@ Two routes:
 * ``solve_cascade`` integrates the reduced shell-cascade system exactly.
   The shell-2 angular amplitudes decay as e^(-12 t) and every higher shell
   k > 2 solves a linear ODE forced by shell k-2, so each mode's solution is
-  a finite sum of polynomial-times-exponential terms obtained by variation
-  of constants (with degree raising at resonances).
+  a finite sum of terms coef * t^degree * e^(-rate t) obtained by variation
+  of constants.  Every rate is an integer (an eigenvalue plus 12 per forcing
+  step), so resonance is the exact test rate == eigenvalue, where the
+  degree is raised.  ``ExpPolyTrajectory`` stores the terms as one flat set
+  of arrays and evaluates them at many times with array operations only.
 
 * ``integrate_numeric`` steps the full quadratic system.  The default
   method is ETDRK4 (Cox & Matthews 2002), which treats the stiff diagonal
@@ -44,7 +47,6 @@ from .errors import (
     WeightOverflowError,
 )
 
-RATE_MERGE_TOL = 1e-9
 RK4_STABILITY = 2.785  # real-axis stability limit of classical RK4
 
 C1_MAX = 16.0 / 11.0
@@ -121,99 +123,153 @@ class Trajectory:
             yield slice(lo, lo + rows)
 
 
-def _trim(poly: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(poly)[0]
-    return poly[: nz[-1] + 1] if nz.size else poly[:0]
+def _merge_by_key(mode, rate, degree, coef):
+    """Terms summed over equal integer (mode, rate, degree) keys, sorted by key,
+    with zero sums dropped."""
+    mode, rate, degree = (np.asarray(a, dtype=np.int64) for a in (mode, rate, degree))
+    coef = np.asarray(coef, dtype=np.complex128)
+    n_rate = int(rate.max(initial=0)) + 1
+    n_degree = int(degree.max(initial=0)) + 1
+    keys, inverse = np.unique((mode * n_rate + rate) * n_degree + degree, return_inverse=True)
+    summed = np.bincount(inverse, coef.real, len(keys)) + 1j * np.bincount(
+        inverse, coef.imag, len(keys)
+    )
+    member = np.empty(len(keys), dtype=np.int64)  # one term carrying each key
+    member[inverse] = np.arange(len(inverse))
+    member = member[summed != 0]
+    return mode[member], rate[member], degree[member], summed[summed != 0]
 
 
-def _merge_terms(terms):
-    """Coalesce (rate, poly) terms whose rates differ by < RATE_MERGE_TOL."""
-    merged = []
-    for rate, poly in sorted(terms, key=lambda t: t[0]):
-        if merged and abs(merged[-1][0] - rate) < RATE_MERGE_TOL:
-            prev_rate, prev = merged[-1]
-            size = max(len(prev), len(poly))
-            acc = np.zeros(size, dtype=np.complex128)
-            acc[: len(prev)] += prev
-            acc[: len(poly)] += poly
-            merged[-1] = (prev_rate, acc)
-        else:
-            merged.append((rate, poly.astype(np.complex128)))
-    return [(rate, _trim(poly)) for rate, poly in merged if _trim(poly).size]
-
-
-def solve_mode_ode(lam: float, y0: complex, forcing) -> list:
-    """Exact solution terms of y' + lam y = sum_j q_j(t) e^(-b_j t), y(0)=y0.
-
-    ``forcing`` is a list of (rate b, ascending poly coefficients q).  Each
-    non-resonant term contributes r(t) e^(-b t) with r from polynomial
-    back-substitution; a term with b within RATE_MERGE_TOL of lam is treated
-    as exactly resonant and raises the degree instead (r' = q, r(0) = 0),
-    which trades an O(tol) model error for well-conditioned coefficients.
-    """
-    terms = []
-    p0 = 0.0 + 0.0j
-    for b, q in forcing:
-        q = np.asarray(q, dtype=np.complex128)
-        q = _trim(q)
-        if not q.size:
-            continue
-        s = lam - b
-        if abs(s) < RATE_MERGE_TOL:
-            r = np.zeros(len(q) + 1, dtype=np.complex128)
-            for j in range(1, len(q) + 1):
-                r[j] = q[j - 1] / j
-            terms.append((lam, r))
-        else:
-            r = np.zeros(len(q), dtype=np.complex128)
-            r[-1] = q[-1] / s
-            for j in range(len(q) - 2, -1, -1):
-                r[j] = (q[j] - (j + 1) * r[j + 1]) / s
-            terms.append((b, r))
-            p0 += r[0]
-    c0 = y0 - p0
-    if c0 != 0:
-        terms.append((lam, np.array([c0], dtype=np.complex128)))
-    return _merge_terms(terms)
-
-
-@dataclass(frozen=True)
 class ExpPolyTrajectory:
-    """Exact per-mode solution as sums of poly(t) * exp(-rate * t) terms."""
+    """Exact per-mode solution: a sum of coef * t^degree * e^(-rate t) terms.
 
-    truncation: int
-    terms: tuple  # per flat mode index: tuple of (rate, poly) pairs
+    The terms live in one flat store of parallel read-only arrays ``mode``
+    (flat index), ``rate`` (int64), ``degree`` and ``coef`` (complex128),
+    sorted by mode, then rate, then degree, with one term per
+    (mode, rate, degree) key and no zero coefficient.  Evaluation tabulates
+    t^degree e^(-rate t) once per distinct (rate, degree) and sums the
+    weighted terms of each mode.
+    """
+
+    def __init__(self, truncation: int, mode, rate, degree, coef):
+        self.truncation = truncation
+        arrays = _merge_by_key(mode, rate, degree, coef)
+        for arr in arrays:
+            arr.flags.writeable = False
+        self.mode, self.rate, self.degree, self.coef = arrays
+        n_degree = int(self.degree.max(initial=0)) + 1
+        basis, self._column = np.unique(self.rate * n_degree + self.degree, return_inverse=True)
+        member = np.empty(len(basis), dtype=np.int64)  # one term carrying each (rate, degree)
+        member[self._column] = np.arange(len(self._column))
+        self._basis_rate, self._basis_degree = self.rate[member], self.degree[member]
+        self._bounds = np.searchsorted(self.mode, np.arange(len(mode_table(truncation)) + 1))
+        self._present = np.flatnonzero(np.diff(self._bounds))
+
+    def _eval_block(self, times: np.ndarray) -> np.ndarray:
+        t = times[:, None]
+        basis = t**self._basis_degree * np.exp(-self._basis_rate * t)
+        out = np.zeros((len(times), len(self._bounds) - 1), dtype=np.complex128)
+        if self._present.size:
+            terms = basis[:, self._column] * self.coef
+            out[:, self._present] = np.add.reduceat(terms, self._bounds[self._present], axis=1)
+        return out
 
     def eval_coeffs(self, t: float) -> np.ndarray:
-        table = mode_table(self.truncation)
-        out = np.zeros(len(table), dtype=np.complex128)
-        for i, mode_terms in enumerate(self.terms):
-            acc = 0.0 + 0.0j
-            for rate, poly in mode_terms:
-                acc += _polyval(poly, t) * math.exp(-rate * t)
-            out[i] = acc
-        return out
+        return self._eval_block(np.array([float(t)]))[0]
 
     def state(self, t: float) -> SpectralState:
         return SpectralState(self.truncation, self.eval_coeffs(t), t=t)
 
     def sample(self, times) -> Trajectory:
+        """Coefficients at ``times``, evaluated in row blocks whose (rows x terms)
+        temporaries hold about BLOCK_ELEMENTS values."""
         times = np.asarray(times, dtype=float)
-        coeffs = np.empty((len(times), len(mode_table(self.truncation))), dtype=np.complex128)
-        for i, t in enumerate(times.tolist()):
-            coeffs[i] = self.eval_coeffs(t)
+        coeffs = np.empty((len(times), len(self._bounds) - 1), dtype=np.complex128)
+        rows = max(1, BLOCK_ELEMENTS // max(len(self.coef), coeffs.shape[1]))
+        for lo in range(0, len(times), rows):
+            coeffs[lo : lo + rows] = self._eval_block(times[lo : lo + rows])
         return Trajectory(self.truncation, times, coeffs)
 
+    def _pairs(self, i: int) -> tuple:
+        """(rate, ascending poly) pairs of flat mode i."""
+        lo, hi = self._bounds[i], self._bounds[i + 1]
+        rates, starts = np.unique(self.rate[lo:hi], return_index=True)
+        pairs = []
+        for rate, a, b in zip(rates.tolist(), starts, [*starts[1:], hi - lo]):
+            poly = np.zeros(int(self.degree[lo + b - 1]) + 1, dtype=np.complex128)
+            poly[self.degree[lo + a : lo + b]] = self.coef[lo + a : lo + b]
+            pairs.append((rate, poly))
+        return tuple(pairs)
+
+    @property
+    def terms(self) -> tuple:
+        """Per flat mode index, the tuple of (rate, poly) pairs; degree is len(poly) - 1."""
+        return tuple(self._pairs(i) for i in range(len(self._bounds) - 1))
+
     def mode_terms(self, mode) -> tuple:
-        table = mode_table(self.truncation)
-        return self.terms[table.index[Mode(*mode)]]
+        return self._pairs(mode_table(self.truncation).index[Mode(*mode)])
 
 
-def _polyval(poly: np.ndarray, t: float) -> complex:
-    acc = 0.0 + 0.0j
-    for c in poly[::-1]:
-        acc = acc * t + c
-    return acc
+def _shell2_entries(init: SpectralState, tensor: CouplingTensor):
+    """(target, source, w) entries of W = sum_m2 g_{0,2,m2} M_(0,2,m2), read from
+    the shell-2 driver rows of the stencil; a (target, source) pair may repeat."""
+    n = len(init.table)
+    stencil = tensor.stencil
+    slots = {d: slot for slot, d in enumerate(tensor.drivers.tolist())}
+    entries = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=np.complex128),)]
+    for d in init.table.s2_indices.tolist():
+        if init.coeffs[d] != 0 and d in slots:
+            ptr = stencil.indptr[slots[d] * n : (slots[d] + 1) * n + 1]
+            span = slice(ptr[0], ptr[-1])
+            entries.append(
+                (
+                    np.repeat(np.arange(n), np.diff(ptr)),
+                    stencil.indices[span],
+                    init.coeffs[d] * stencil.data[span],
+                )
+            )
+    return tuple(np.concatenate(col) for col in zip(*entries))
+
+
+def _solve_shell(lam, y0, mode, rate, degree, q):
+    """Terms (mode, rate, degree, coef) of y' + lam y = f(t), y(0) = y0, over one shell.
+
+    Modes are local to the shell.  The forcing f is sum q t^degree e^(-rate t)
+    over terms sorted by (mode, rate, degree) with unique keys, as
+    `_merge_by_key` returns them.  Each (mode, rate) group is one polynomial;
+    its particular solution r(t) e^(-rate t) comes from back-substitution
+    over the degree index, vectorised over the groups.  A group with
+    rate == lam is resonant and raises the degree instead (r' = q, r(0) = 0).
+    The homogeneous term c0 e^(-lam t) makes y(0) = y0.
+    """
+    first = np.ones(len(mode), dtype=bool)
+    first[1:] = (mode[1:] != mode[:-1]) | (rate[1:] != rate[:-1])
+    group = np.cumsum(first) - 1
+    g_mode, g_rate = mode[first], rate[first]
+    top = int(degree.max(initial=0))
+    Q = np.zeros((len(g_mode), top + 2), dtype=np.complex128)
+    Q[group, degree] = q
+    R = np.zeros_like(Q)
+    s = lam[g_mode] - g_rate
+    res = s == 0
+    # non-resonant: r_top = q_top / s, r_j = (q_j - (j + 1) r_(j+1)) / s
+    for j in range(top, -1, -1):
+        R[~res, j] = (Q[~res, j] - (j + 1) * R[~res, j + 1]) / s[~res]
+    R[res, 1:] = Q[res, :-1] / np.arange(1, top + 2)
+    c0 = np.array(y0, dtype=np.complex128)
+    np.subtract.at(c0, g_mode[~res], R[~res, 0])
+    # the homogeneous term is the degree-0 coefficient of the resonant group, if any
+    R[res, 0] = c0[g_mode[res]]
+    alone = c0 != 0
+    alone[g_mode[res]] = False
+    alone = np.flatnonzero(alone)
+    gi, deg = np.nonzero(R)
+    return (
+        np.concatenate([g_mode[gi], alone]),
+        np.concatenate([g_rate[gi], lam[alone]]),
+        np.concatenate([deg, np.zeros(len(alone), dtype=np.int64)]),
+        np.concatenate([R[gi, deg], c0[alone]]),
+    )
 
 
 def solve_cascade(
@@ -221,9 +277,14 @@ def solve_cascade(
 ) -> ExpPolyTrajectory:
     """Exact trajectory of the reduced cascade for null-space-free data.
 
-    Shells are processed in increasing order; a shell-k mode is forced only
-    through shell k-2 (already solved) modulated by the decaying shell-2
-    amplitudes, so each linear ODE is solved in closed form.
+    Every decay rate is an integer: lam(n, l) = 2(2n+l) + l(l+1) on the
+    homogeneous part of a mode, plus 12 per forcing step, since the shell-2
+    amplitudes decay as e^(-12 t).  Shells are solved in increasing order,
+    each vectorised over its modes: the forcing of shell k is W applied to
+    the terms of shell k-2 with every rate raised by 12, where
+    W = sum_m2 g_{0,2,m2} M_(0,2,m2) is read from the stencil.  Forcing terms
+    merge by exact (mode, rate, degree) keys, and resonance is the integer
+    test rate == lam.
     """
     if init.truncation != tensor.N:
         raise DimensionMismatchError(
@@ -236,31 +297,30 @@ def solve_cascade(
             "the reduced cascade requires data orthogonal to the collision invariants"
         )
     table = init.table
-    g02 = {m2: init[(0, 2, m2)] for m2 in range(-2, 3)}
-    cascade = tensor.cascade_by_target()
+    lam = table.lam.astype(np.int64)  # integer-valued: 2(2n+l) + l(l+1) above shell 2
+    starts = np.searchsorted(table.shell, np.arange(table.N + 2))
+    tgt, src, w = _shell2_entries(init, tensor)
 
-    terms: list = [() for _ in range(len(table))]
-    order = sorted(range(len(table)), key=lambda i: int(table.shell[i]))
-    for ti in order:
-        k = int(table.shell[ti])
-        if k < 2:
-            continue
-        if k == 2:
-            n, l, m = table.modes[ti]
-            if l == 2 and init.coeffs[ti] != 0:
-                terms[ti] = ((12.0, np.array([init.coeffs[ti]])),)
-            continue
-        lam = float(table.lam[ti])
-        forcing = []
-        for src, m2, coef in cascade.get(ti, ()):
-            amp = g02.get(m2, 0.0)
-            if amp == 0:
-                continue
-            for rate, poly in terms[src]:
-                forcing.append((rate + 12.0, coef * amp * poly))
-        solved = solve_mode_ode(lam, complex(init.coeffs[ti]), forcing)
-        terms[ti] = tuple(solved)
-    return ExpPolyTrajectory(truncation=init.truncation, terms=tuple(terms))
+    # shell 2: the five angular amplitudes decay as e^(-12 t); (1, 0, 0) is null
+    s2 = table.s2_indices[init.coeffs[table.s2_indices] != 0]
+    shells = {2: _merge_by_key(s2, lam[s2], np.zeros_like(s2), init.coeffs[s2])}
+    empty = _merge_by_key(*(np.zeros(0),) * 4)
+    for k in range(3, table.N + 1):
+        mode, rate, degree, coef = shells.get(k - 2, empty)  # sorted by mode
+        lo, hi = starts[k], starts[k + 1]
+        into = (tgt >= lo) & (tgt < hi)
+        # pair each W entry into shell k with every term of its source mode
+        bounds = np.searchsorted(mode, np.arange(len(table) + 1))
+        first = bounds[src[into]]
+        count = bounds[src[into] + 1] - first
+        e = np.repeat(np.flatnonzero(into), count)
+        j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        forcing = _merge_by_key(tgt[e] - lo, rate[j] + 12, degree[j], w[e] * coef[j])
+        mode, rate, degree, coef = _solve_shell(lam[lo:hi], init.coeffs[lo:hi], *forcing)
+        shells[k] = _merge_by_key(mode + lo, rate, degree, coef)
+    return ExpPolyTrajectory(
+        init.truncation, *(np.concatenate(col) for col in zip(*shells.values()))
+    )
 
 
 def _etdrk4_coeffs(lam: np.ndarray, dt: float, n_contour: int = 32):

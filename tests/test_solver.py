@@ -24,14 +24,108 @@ from landau_spectral.solver import (
     ExpPolyTrajectory,
     IntegratorConfig,
     Trajectory,
+    _merge_by_key,
+    _solve_shell,
     check_smallness,
     diagnostics,
     integrate_numeric,
     smallness_threshold,
     solve_cascade,
-    solve_mode_ode,
 )
 from landau_spectral.verification import random_tilde_state
+
+
+def _trim(poly):
+    nz = np.nonzero(poly)[0]
+    return poly[: nz[-1] + 1] if nz.size else poly[:0]
+
+
+def _merge_terms(terms):
+    """Sum (rate, poly) terms of equal rate, sorted by rate, dropping zero polys."""
+    merged = []
+    for rate, poly in sorted(terms, key=lambda t: t[0]):
+        if merged and merged[-1][0] == rate:
+            prev = merged[-1][1]
+            acc = np.zeros(max(len(prev), len(poly)), dtype=np.complex128)
+            acc[: len(prev)] += prev
+            acc[: len(poly)] += poly
+            merged[-1] = (rate, acc)
+        else:
+            merged.append((rate, poly.astype(np.complex128)))
+    return [(rate, _trim(poly)) for rate, poly in merged if _trim(poly).size]
+
+
+def solve_mode_ode(lam, y0, forcing):
+    """Exact solution terms of y' + lam y = sum_j q_j(t) e^(-b_j t), y(0)=y0, one mode.
+
+    The scalar loop that the flat shell solve replaced, kept as its oracle.
+    ``forcing`` is a list of (integer rate b, ascending poly coefficients q).
+    A term with b == lam is resonant and raises the degree (r' = q, r(0) = 0);
+    any other contributes r(t) e^(-b t) from polynomial back-substitution.
+    """
+    terms = []
+    p0 = 0.0 + 0.0j
+    for b, q in forcing:
+        q = _trim(np.asarray(q, dtype=np.complex128))
+        if not q.size:
+            continue
+        s = lam - b
+        if s == 0:
+            r = np.zeros(len(q) + 1, dtype=np.complex128)
+            for j in range(1, len(q) + 1):
+                r[j] = q[j - 1] / j
+            terms.append((lam, r))
+        else:
+            r = np.zeros(len(q), dtype=np.complex128)
+            r[-1] = q[-1] / s
+            for j in range(len(q) - 2, -1, -1):
+                r[j] = (q[j] - (j + 1) * r[j + 1]) / s
+            terms.append((b, r))
+            p0 += r[0]
+    c0 = y0 - p0
+    if c0 != 0:
+        terms.append((lam, np.array([c0], dtype=np.complex128)))
+    return _merge_terms(terms)
+
+
+def flat_mode_ode(lam, y0, forcing):
+    """`solver._solve_shell` on a single mode, as (rate, poly) pairs."""
+    merged = _merge_by_key(
+        [0 for _, q in forcing for _ in q],
+        [b for b, q in forcing for _ in q],
+        [d for _, q in forcing for d in range(len(q))],
+        [c for _, q in forcing for c in q],
+    )
+    flat = _solve_shell(np.array([lam]), np.array([y0]), *merged)
+    return list(ExpPolyTrajectory(0, *flat).terms[0])
+
+
+def reference_cascade(init, tensor):
+    """Per flat mode, the (rate, poly) terms of the former per-mode cascade loop.
+
+    Reads the A1/A2/A3 channel entries, not the stencil, and solves each mode
+    of shell k > 2 with `solve_mode_ode`, forced by the shell-2 amplitudes
+    times the terms of its shell k - 2 sources, rates raised by 12.
+    """
+    table = init.table
+    sources = {}
+    for name in ("A1", "A2", "A3"):
+        tgt, src, _drv, mdrv, coef = tensor.channels[name]
+        for t, s, m2, c in zip(tgt.tolist(), src.tolist(), mdrv.tolist(), coef.tolist()):
+            sources.setdefault(t, []).append((s, m2, c))
+    terms = [[] for _ in range(len(table))]
+    for ti, (n, l, m) in enumerate(table.modes):  # the table is ordered by shell
+        y0 = complex(init.coeffs[ti])
+        if (n, l) == (0, 2):
+            terms[ti] = [(12, np.array([y0]))] if y0 != 0 else []
+        elif 2 * n + l > 2:
+            forcing = [
+                (rate + 12, c * init[(0, 2, m2)] * poly)
+                for s, m2, c in sources.get(ti, ())
+                for rate, poly in terms[s]
+            ]
+            terms[ti] = solve_mode_ode(int(table.lam[ti]), y0, forcing)
+    return terms
 
 
 def eval_terms(terms, t):
@@ -113,12 +207,37 @@ class TestSolveModeOde:
         for t in (0.0, 0.4, 2.0):
             assert eval_terms(terms, t) == pytest.approx((t + 0.5) * math.exp(-3 * t), abs=1e-13)
 
-    def test_near_resonance_merged(self):
-        # rate within the merge tolerance is snapped to resonance
-        terms = solve_mode_ode(3.0, 0.0, [(3.0 + 1e-12, np.array([1.0]))])
-        rates = [r for r, _ in terms]
-        assert len(rates) == len(set(rates))
-        assert eval_terms(terms, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-9)
+    @pytest.mark.parametrize("solve", [solve_mode_ode, flat_mode_ode], ids=["oracle", "flat"])
+    def test_rate_off_by_one_not_merged(self, solve):
+        # y' + 3y = e^{-2t}, y(0)=0  ->  e^{-2t} - e^{-3t}: two degree-0 terms
+        terms = solve(3, 0.0, [(2, np.array([1.0]))])
+        assert [(r, len(poly)) for r, poly in terms] == [(2, 1), (3, 1)]
+        for t in (0.0, 0.5, 1.0):
+            assert eval_terms(terms, t) == pytest.approx(math.exp(-2 * t) - math.exp(-3 * t), abs=1e-15)
+
+    @pytest.mark.parametrize("solve", [solve_mode_ode, flat_mode_ode], ids=["oracle", "flat"])
+    def test_equal_rate_raises_degree(self, solve):
+        # y' + 3y = (1 + t) e^{-3t}, y(0)=0  ->  (t + t^2/2) e^{-3t}
+        terms = solve(3, 0.0, [(3, np.array([1.0, 1.0]))])
+        assert len(terms) == 1 and terms[0][0] == 3
+        np.testing.assert_array_equal(terms[0][1], [0.0, 1.0, 0.5])
+
+    def test_flat_shell_solve_matches_oracle(self):
+        # integer rates drawn near lam so that resonant and repeated rates occur
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            lam = int(rng.integers(10, 14))
+            y0 = complex(rng.standard_normal(), rng.standard_normal())
+            forcing = [
+                (int(rng.integers(10, 14)), rng.standard_normal(rng.integers(1, 4)) * (1 + 1j))
+                for _ in range(int(rng.integers(0, 5)))
+            ]
+            want = solve_mode_ode(lam, y0, forcing)
+            got = flat_mode_ode(lam, y0, forcing)
+            assert [r for r, _ in got] == [r for r, _ in want]
+            for (_, p), (_, q) in zip(got, want):
+                assert len(p) == len(q)
+                np.testing.assert_allclose(p, q, rtol=1e-13, atol=1e-15)
 
     def test_polynomial_forcing_against_rk4(self):
         forcing = [(2.0, np.array([0.3, -1.0, 0.25])), (6.0, np.array([1.0, 0.5]))]
@@ -211,6 +330,73 @@ class TestSolveCascade:
                 assert state.coeffs[i] == 0
 
 
+    @pytest.mark.parametrize("N", [10, 16, 18])
+    def test_matches_mode_oracle(self, N):
+        tensor = build_tensor(N)
+        init = random_tilde_state(N, np.random.default_rng(300 + N), s2_scale=0.3)
+        traj = solve_cascade(init, tensor)
+        want = reference_cascade(init, tensor)
+        # the same (rate, poly) pairs per mode, so the same (mode, rate, degree) keys
+        assert [[(r, len(p)) for r, p in pairs] for pairs in traj.terms] == [
+            [(r, len(p)) for r, p in pairs] for pairs in want
+        ]
+        mode, rate, degree, coef = (
+            np.array(col)
+            for col in zip(
+                *(
+                    (i, r, d, c)
+                    for i, pairs in enumerate(want)
+                    for r, poly in pairs
+                    for d, c in enumerate(poly)
+                )
+            )
+        )
+        times = np.linspace(0.0, 2.0, 21)
+        oracle = np.zeros((len(times), len(want)), dtype=np.complex128)
+        for row, t in zip(oracle, times):
+            np.add.at(row, mode, coef * t**degree * np.exp(-rate * t))
+        got = traj.sample(times).coeffs
+        largest = np.abs(oracle).max(axis=0)
+        assert np.all(np.abs(got - oracle) <= 1e-13 * largest)
+
+    def test_rates_are_integer_ladder(self):
+        # a shell-k term decays at lam(a) + 12 j for a mode a at shell k - 2j:
+        # its own homogeneous rate (j = 0) or one carried up j forcing steps
+        N = 18
+        init = random_tilde_state(N, np.random.default_rng(61), s2_scale=0.3)
+        traj = solve_cascade(init, build_tensor(N))
+        table = mode_table(N)
+        assert traj.rate.dtype == np.int64 and traj.degree.dtype == np.int64
+        rungs = {}
+        for i in np.flatnonzero(table.tilde_mask(N)):
+            rungs.setdefault(int(table.shell[i]), set()).add(int(table.lam[i]))
+        for k, rate in set(zip(table.shell[traj.mode].tolist(), traj.rate.tolist())):
+            assert any(rate - 12 * j in rungs[k - 2 * j] for j in range((k - 2) // 2 + 1)), (k, rate)
+        # keys are exact and unique, and no stored coefficient is zero
+        keys = np.stack([traj.mode, traj.rate, traj.degree])
+        assert np.unique(keys, axis=1).shape == keys.shape
+        assert np.all(traj.coef != 0)
+
+    def test_resonant_cascade_vs_etdrk4(self):
+        # at N = 18 lam(5, 8) = 108 = 12 + 8 * 12: the shell-2 rate carried up
+        # eight shells is resonant, so mode (5, 8) gains a t e^(-108 t) term
+        N = 18
+        tensor = build_tensor(N)
+        init = random_tilde_state(N, np.random.default_rng(118), s2_scale=0.3)
+        init = SpectralState(N, init.coeffs * 0.5)
+        traj = solve_cascade(init, tensor)
+        table = mode_table(N)
+        raised = traj.mode[traj.degree >= 1]
+        assert raised.size and set(zip(table.n[raised].tolist(), table.l[raised].tolist())) == {(5, 8)}
+        series = integrate_numeric(
+            init, tensor, IntegratorConfig(method="etd-rk4", dt=1e-3, t_final=0.3)
+        )
+        compared = series[::50]
+        got = traj.sample(compared.times).coeffs
+        assert len(compared) == 7
+        assert np.max(np.abs(got - compared.coeffs)) <= 1e-6
+
+
 class TestIntegrateNumeric:
     def test_etdrk4_exact_decay(self):
         tensor = build_tensor(4)
@@ -271,8 +457,8 @@ class TestIntegrateNumeric:
         series = integrate_numeric(
             init, tensor, IntegratorConfig(method="etd-rk4", dt=1e-3, t_final=1.0)
         )
-        for t, state in series[::200]:
-            assert np.max(np.abs(traj.eval_coeffs(t) - state.coeffs)) <= 1e-6
+        compared = series[::200]
+        assert np.max(np.abs(traj.sample(compared.times).coeffs - compared.coeffs)) <= 1e-6
 
 
 class TestDiagnostics:

@@ -28,11 +28,10 @@ amplitudes.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .basis import Mode, mode_table
 from .errors import CapacityError, TensorCacheError
@@ -211,26 +210,55 @@ class CouplingTensor:
 
     ``channels`` maps each channel name to (tgt, src, drv, mdrv, coef)
     arrays of flat mode indices (into ``mode_table(N)``), the driver's
-    azimuthal index, and the real coefficient.  Only the shell <= 2 modes in
-    ``drivers`` ever act, so L(f, g) = sum_d f_d M_d g: ``stencil`` stacks the
-    blocks M_d as one sparse matrix whose row slot*n + tgt, column src holds
-    the summed coefficients of driver ``drivers[slot]``.
+    azimuthal index, and the real coefficient.  Only the shell <= 2 modes
+    ever act as drivers, so L(f, g) = sum_d f_d M_d g.  The stencil holds the
+    blocks M_d as padded rows grouped by driver: row r adds
+    f[drivers[r]] * coef[r, t] * g[src[r, t]] to target t.  A row holds at
+    most one entry per target, so a repeated (driver, target) pair takes the
+    next row of its driver.  A target without an entry in a row reads its
+    own amplitude with coef 0, so padding carries no non-finite amplitude
+    to another mode.
     """
 
     N: int
     channels: dict
     drivers: np.ndarray = field(repr=False)
-    stencil: csr_matrix = field(repr=False)
+    src: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return sum(len(coef) for *_, coef in self.channels.values())
 
     def apply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Coefficient vector of the bilinear image L(f, g)."""
-        blocks = (self.stencil @ g).reshape(len(self.drivers), self.stencil.shape[1])
-        # a broadcast sum, not `f[drivers] @ blocks`: that product goes to a
-        # threaded BLAS call, which slows down several-fold on a busy host
-        return (f[self.drivers, None] * blocks).sum(axis=0)
+        """Coefficient vector of the bilinear image L(f, g) of complex vectors."""
+        # elementwise products and a sum over rows: a BLAS product such as
+        # `f[drivers] @ rows` goes to a threaded call, which slows down
+        # several-fold on a busy host
+        rows = np.take(g, self.src)
+        rows *= self.coef
+        rows *= f[self.drivers, None]
+        return rows.sum(axis=0)
+
+    def entries(self) -> tuple:
+        """(driver, target, source, coef) arrays of the entries the rows hold, by row."""
+        r, t = np.nonzero(self.coef)  # padding has coef 0, entries never do
+        return self.drivers[r], t, self.src[r, t], self.coef[r, t]
+
+    def live(self, f: np.ndarray) -> "CouplingTensor":
+        """The rows whose driver amplitude in f is nonzero, if f has no null-space
+        amplitude; otherwise self.
+
+        Exact along every trajectory from f: with the null amplitudes zero,
+        L vanishes on shells <= 2, so the shell-2 drivers only decay and a
+        zero driver stays exactly zero.  ``channels`` and ``len`` still
+        describe the full stencil.
+        """
+        if np.any(f[mode_table(self.N).null_indices] != 0):
+            return self
+        keep = f[self.drivers] != 0
+        return replace(
+            self, drivers=self.drivers[keep], src=self.src[keep], coef=self.coef[keep]
+        )
 
 
 # Ladder channels: target (n, l, m) <- source (n - dn, l + dl, m - md) through
@@ -312,12 +340,30 @@ def _assemble(N: int, columns: dict) -> CouplingTensor:
             arr.flags.writeable = False
         channels[name] = arrays
     tgt, src, drv, _mdrv, coef = (np.concatenate(arrs) for arrs in zip(*channels.values()))
-    drivers, slot = np.unique(drv, return_inverse=True)
-    drivers.flags.writeable = False
-    n = len(mode_table(N).modes)
-    # the CSR conversion sums repeated (driver, target, source) entries
-    stencil = csr_matrix((coef, (slot * n + tgt, src)), shape=(len(drivers) * n, n))
-    return CouplingTensor(N=N, channels=channels, drivers=drivers, stencil=stencil)
+    n = len(mode_table(N))
+    count = np.bincount(drv)
+    drivers = np.flatnonzero(count)
+    slot = (np.cumsum(count > 0) - 1)[drv]
+    # An entry's row within its driver is the number of earlier entries of its
+    # (driver, target) pair.  Keys are unique within a strictly increasing run
+    # (a channel, as built), so one gather and one increment count each run.
+    key = tgt * len(drivers) + slot
+    seen = np.zeros(n * len(drivers), dtype=np.int64)
+    rank = np.empty_like(key)
+    cuts = (np.flatnonzero(key[1:] <= key[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(key)]):
+        rank[lo:hi] = seen[key[lo:hi]]
+        seen[key[lo:hi]] += 1
+    depth = seen.reshape(n, len(drivers)).max(axis=0, initial=0)
+    at = ((np.cumsum(depth) - depth)[slot] + rank) * n + tgt
+    rows = np.tile(np.arange(n), (int(depth.sum()), 1))
+    np.put(rows, at, src)
+    coefs = np.zeros(rows.shape)
+    np.put(coefs, at, coef)
+    drivers = np.repeat(drivers, depth)
+    for arr in (drivers, rows, coefs):
+        arr.flags.writeable = False
+    return CouplingTensor(N=N, channels=channels, drivers=drivers, src=rows, coef=coefs)
 
 
 @lru_cache(maxsize=8)

@@ -3,14 +3,15 @@ coefficient space, plus the independent Fourier-side and moment-integral
 oracles used to validate the expansion identities numerically.
 
 The bilinear operator is almost diagonal: only driver modes at shell <= 2
-couple, so applying it is one sparse matrix-vector product with the
-precomputed coupling stencil (see ``CouplingTensor.apply``).
+couple, so applying it is a gather, two products and a sum over the rows of
+the precomputed coupling stencil (see ``CouplingTensor.apply``).  The
+radial rule of the moment oracle is a Golub-Welsch Gauss-Laguerre rule, so
+numpy is the only dependency.
 """
 
 import math
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .basis import SpectralState, psi_hat, validate_mode
 from .coupling import A1, A2, A3, CouplingTensor
@@ -112,6 +113,18 @@ def _moment_closed_form(mode, power, v):
     return -math.sqrt(6.0) / 3.0 * r * r
 
 
+def _gauss_laguerre(order: int, alpha: float):
+    """Nodes and weights of the order-point Gauss rule for the weight x^alpha e^(-x)
+    on (0, inf), by Golub-Welsch: the nodes are the eigenvalues of the Jacobi
+    matrix of the generalized Laguerre recurrence, and each weight is
+    Gamma(alpha + 1) times the squared first component of its eigenvector."""
+    i = np.arange(order)
+    off = np.sqrt(i[1:] * (i[1:] + alpha))
+    jacobi = np.diag(2.0 * i + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, math.gamma(alpha + 1.0) * vectors[0] ** 2
+
+
 def _moment_quadrature(mode, power, v, n_rad, n_theta, n_phi):
     """3D quadrature of integral (v.v*)^p Psi_mode(v*) dv*.
 
@@ -122,7 +135,7 @@ def _moment_quadrature(mode, power, v, n_rad, n_theta, n_phi):
     involved.
     """
     n, l, m = mode
-    u, wu = roots_genlaguerre(n_rad, 0.5)
+    u, wu = _gauss_laguerre(n_rad, 0.5)
     rule = gauss_legendre(n_theta)
     x, wx = rule.nodes, rule.weights
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi

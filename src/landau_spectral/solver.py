@@ -212,23 +212,14 @@ class ExpPolyTrajectory:
 
 def _shell2_entries(init: SpectralState, tensor: CouplingTensor):
     """(target, source, w) entries of W = sum_m2 g_{0,2,m2} M_(0,2,m2), read from
-    the shell-2 driver rows of the stencil; a (target, source) pair may repeat."""
-    n = len(init.table)
-    stencil = tensor.stencil
-    slots = {d: slot for slot, d in enumerate(tensor.drivers.tolist())}
-    entries = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=np.complex128),)]
-    for d in init.table.s2_indices.tolist():
-        if init.coeffs[d] != 0 and d in slots:
-            ptr = stencil.indptr[slots[d] * n : (slots[d] + 1) * n + 1]
-            span = slice(ptr[0], ptr[-1])
-            entries.append(
-                (
-                    np.repeat(np.arange(n), np.diff(ptr)),
-                    stencil.indices[span],
-                    init.coeffs[d] * stencil.data[span],
-                )
-            )
-    return tuple(np.concatenate(col) for col in zip(*entries))
+    the shell-2 driver rows of the stencil and ordered by (driver, target, source);
+    a (target, source) pair may repeat."""
+    drv, tgt, src, coef = tensor.entries()
+    s2 = init.table.s2_indices
+    keep = np.isin(drv, s2[init.coeffs[s2] != 0])
+    drv, tgt, src, coef = drv[keep], tgt[keep], src[keep], coef[keep]
+    order = np.lexsort((src, tgt, drv))
+    return tgt[order], src[order], init.coeffs[drv[order]] * coef[order]
 
 
 def _solve_shell(lam, y0, mode, rate, degree, q):
@@ -350,6 +341,8 @@ def integrate_numeric(
 
     etd-rk4 handles the diagonal exactly and has no step-size restriction
     from the linear part; rk4 refuses steps beyond its stability bound.
+    Both apply only the stencil rows that can act along the run
+    (``CouplingTensor.live``), chosen once from the initial datum.
     """
     if init.truncation != tensor.N:
         raise DimensionMismatchError(
@@ -360,6 +353,7 @@ def integrate_numeric(
     table = init.table
     lam = table.lam
     dt = cfg.dt
+    tensor = tensor.live(init.coeffs)
     n_steps = int(math.floor(cfg.t_final / dt + 1e-9))
 
     times = np.arange(n_steps + 1) * dt

@@ -138,17 +138,21 @@ def reference_write_trajectory_csv(series, path):
                 )
 
 
-def run_cli(args):
+def child_env():
     # The child inherits this environment and imports the same package as this
     # process, whether it comes from a source tree or from an install.
     package_root = str(Path(landau_spectral.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "landau_spectral.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -319,3 +323,31 @@ class TestVerifyCommand:
         assert all("margin" in c for c in report["checks"])
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk == report
+
+
+# Imports the CLI, runs `verify --level fast` and an etd-rk4 `run`, then prints
+# the scipy modules loaded on the way.
+_SCIPY_FREE_CHILD = """
+import json, sys
+from landau_spectral.cli import main
+assert main(["verify", "--level", "fast"]) == 0
+assert main(["run", "--config", sys.argv[1]]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    cfg = TestRunCommand().write_config(
+        tmp_path,
+        truncation=8,
+        t_final=0.05,
+        init={"kind": "single-mode", "mode": [0, 2, 1], "amplitude": [0.3, 0.1]},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_CHILD, str(cfg)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

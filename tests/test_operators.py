@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre
 
 from landau_spectral.basis import (
     NormSpec,
@@ -15,6 +16,7 @@ from landau_spectral.basis import (
 from landau_spectral.coupling import build_tensor
 from landau_spectral.errors import DimensionMismatchError, QuadratureOrderError
 from landau_spectral.operators import (
+    _gauss_laguerre,
     apply_bilinear,
     apply_linear,
     fourier_multiplier_oracle,
@@ -218,3 +220,24 @@ class TestMomentIntegralOracle:
     def test_degenerate_sample(self):
         with pytest.raises(ValueError, match="degenerate"):
             moment_integral_oracle("orth1", np.zeros((1, 3)))
+
+
+class TestGaussLaguerre:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+    def test_matches_scipy_rule(self, alpha):
+        for order in range(1, 41):
+            nodes, weights = _gauss_laguerre(order, alpha)
+            want_nodes, want_weights = roots_genlaguerre(order, alpha)
+            np.testing.assert_allclose(nodes, want_nodes, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                weights, want_weights, rtol=0, atol=1e-13 * math.gamma(alpha + 1)
+            )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+    def test_moments_exact(self, alpha):
+        # sum w x^k = Gamma(k + alpha + 1) for every k <= 2 order - 1
+        for order in range(1, 25):
+            nodes, weights = _gauss_laguerre(order, alpha)
+            for k in range(2 * order):
+                want = math.gamma(k + alpha + 1)
+                assert abs(np.sum(weights * nodes**k) - want) <= 1e-12 * want

@@ -4,6 +4,7 @@ Subcommands:
 
 * ``run --config cfg.json`` -- build or load the coupling tensor, construct
   the initial datum, integrate, and write diagnostics/final-state CSVs.
+  The run streams: it holds one row block of the trajectory at a time.
 * ``verify --level fast|full [--seed S] [--out report.json]`` -- run the
   property suites and emit a JSON report with per-check margins.
 * ``build-tensor --truncation N --out DIR`` -- precompute a tensor cache.
@@ -20,7 +21,9 @@ import numbers
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +40,12 @@ from .basis import (
 from .coupling import CouplingTensor, build_tensor, load_tensor, save_tensor
 from .errors import ConfigError, SpectralError, TensorCacheError
 from .solver import (
+    DiagnosticsReducer,
     IntegratorConfig,
     Trajectory,
     check_smallness,
-    diagnostics,
-    integrate_numeric,
-    solve_cascade,
+    trajectory_blocks,
 )
-from .verification import run_checks
 
 log = logging.getLogger("landau_spectral")
 
@@ -252,21 +253,55 @@ def write_diagnostics_csv(rows, path) -> None:
             )
 
 
+_TRAJECTORY_HEADER = "t,n,l,m,re,im\n"
+
+
+@lru_cache(maxsize=8)
+def _mode_prefixes(N: int) -> tuple:
+    return tuple(f"{mo.n},{mo.l},{mo.m}," for mo in mode_table(N).modes)
+
+
+def _write_trajectory_rows(fh, block: Trajectory) -> None:
+    """The `t,n,l,m,re,im` rows of one row block, one per nonzero coefficient."""
+    modes = _mode_prefixes(block.truncation)
+    times = [format(t, ".17g") + "," for t in block.times.tolist()]
+    nz_rows, nz_modes = np.nonzero(block.coeffs)
+    values = block.coeffs[nz_rows, nz_modes].tolist()
+    fh.writelines(
+        f"{times[r]}{modes[i]}{format(z.real, '.17g')},{format(z.imag, '.17g')}\n"
+        for r, i, z in zip(nz_rows.tolist(), nz_modes.tolist(), values)
+    )
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One `t,n,l,m,re,im` row per nonzero coefficient, sample by sample."""
-    table = mode_table(traj.truncation)
-    modes = [f"{mo.n},{mo.l},{mo.m}," for mo in table.modes]
     with open(path, "w") as fh:
-        fh.write("t,n,l,m,re,im\n")
+        fh.write(_TRAJECTORY_HEADER)
         for rows in traj.row_blocks():
-            block = traj.coeffs[rows]
-            times = [format(t, ".17g") + "," for t in traj.times[rows].tolist()]
-            nz_rows, nz_modes = np.nonzero(block)
-            values = block[nz_rows, nz_modes].tolist()
-            fh.writelines(
-                f"{times[r]}{modes[i]}{format(z.real, '.17g')},{format(z.imag, '.17g')}\n"
-                for r, i, z in zip(nz_rows.tolist(), nz_modes.tolist(), values)
-            )
+            _write_trajectory_rows(fh, traj[rows])
+
+
+@contextmanager
+def _trajectory_sink(path):
+    """A callable that appends one row block to the trajectory CSV at `path`;
+    it does nothing when `path` is None.
+
+    The file is written under a temporary name in the same directory and
+    renamed to `path` when the ``with`` body completes, or removed if it
+    raises, so a failed run leaves nothing at `path`.
+    """
+    if not path:
+        yield lambda block: None
+        return
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "w") as fh:
+            fh.write(_TRAJECTORY_HEADER)
+            yield lambda block: _write_trajectory_rows(fh, block)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def run(cfg: RunConfig) -> int:
@@ -299,23 +334,21 @@ def run(cfg: RunConfig) -> int:
                 smallness.threshold,
             )
 
-    icfg = cfg.integrator_config()
-    if cfg.method == "cascade":
-        n_steps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
-        times = [k * cfg.dt for k in range(n_steps + 1)]
-        traj = solve_cascade(init, tensor).sample(times)
-    else:
-        traj = integrate_numeric(init, tensor, icfg)
-
-    rows = diagnostics(traj, NormSpec(alpha=cfg.alpha, c1=cfg.c1))
-    write_diagnostics_csv(rows, cfg.diagnostics_path)
-    t_end, final = traj[-1]
-    save_state_csv(final, cfg.final_state_path)
-    if cfg.trajectory_path:
-        write_trajectory_csv(traj, cfg.trajectory_path)
+    # one pass over the row blocks: each feeds the diagnostics and the
+    # trajectory file, and the last row is the final state
+    blocks = trajectory_blocks(init, tensor, cfg.integrator_config())
+    reducer = DiagnosticsReducer(cfg.truncation, NormSpec(alpha=cfg.alpha, c1=cfg.c1))
+    with _trajectory_sink(cfg.trajectory_path) as write_block:
+        for block in blocks:
+            reducer.add(block)
+            write_block(block)
+        rows = reducer.rows()
+        write_diagnostics_csv(rows, cfg.diagnostics_path)
+        t_end, final = block[-1]
+        save_state_csv(final, cfg.final_state_path)
     log.info(
         "run complete: %d samples to t=%.6g, diagnostics -> %s, final state -> %s",
-        len(traj),
+        len(rows),
         t_end,
         cfg.diagnostics_path,
         cfg.final_state_path,
@@ -354,6 +387,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run(RunConfig.from_file(args.config))
         if args.command == "verify":
+            from .verification import run_checks  # only verify needs the checks
+
             report = run_checks(level=args.level, seed=args.seed)
             text = json.dumps(report, indent=2)
             print(text)

@@ -213,7 +213,8 @@ class CouplingTensor:
     azimuthal index, and the real coefficient.  Only the shell <= 2 modes
     ever act as drivers, so L(f, g) = sum_d f_d M_d g.  The stencil holds the
     blocks M_d as padded rows grouped by driver: row r adds
-    f[drivers[r]] * coef[r, t] * g[src[r, t]] to target t.  A row holds at
+    f[drivers[r]] * coef[r, t] * g[src[r, t]] to target t; ``coef`` is
+    complex128 with zero imaginary part.  A row holds at
     most one entry per target, so a repeated (driver, target) pair takes the
     next row of its driver.  A target without an entry in a row reads its
     own amplitude with coef 0, so padding carries no non-finite amplitude
@@ -234,7 +235,7 @@ class CouplingTensor:
         # elementwise products and a sum over rows: a BLAS product such as
         # `f[drivers] @ rows` goes to a threaded call, which slows down
         # several-fold on a busy host
-        rows = np.take(g, self.src)
+        rows = g.take(self.src)
         rows *= self.coef
         rows *= f[self.drivers, None]
         return rows.sum(axis=0)
@@ -242,7 +243,7 @@ class CouplingTensor:
     def entries(self) -> tuple:
         """(driver, target, source, coef) arrays of the entries the rows hold, by row."""
         r, t = np.nonzero(self.coef)  # padding has coef 0, entries never do
-        return self.drivers[r], t, self.src[r, t], self.coef[r, t]
+        return self.drivers[r], t, self.src[r, t], self.coef[r, t].real
 
     def live(self, f: np.ndarray) -> "CouplingTensor":
         """The rows whose driver amplitude in f is nonzero, if f has no null-space
@@ -358,7 +359,8 @@ def _assemble(N: int, columns: dict) -> CouplingTensor:
     at = ((np.cumsum(depth) - depth)[slot] + rank) * n + tgt
     rows = np.tile(np.arange(n), (int(depth.sum()), 1))
     np.put(rows, at, src)
-    coefs = np.zeros(rows.shape)
+    # complex, so that the apply multiplies complex rows without a cast per call
+    coefs = np.zeros(rows.shape, dtype=np.complex128)
     np.put(coefs, at, coef)
     drivers = np.repeat(drivers, depth)
     for arr in (drivers, rows, coefs):

@@ -10,6 +10,7 @@ numpy is the only dependency.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,16 +114,21 @@ def _moment_closed_form(mode, power, v):
     return -math.sqrt(6.0) / 3.0 * r * r
 
 
+@lru_cache
 def _gauss_laguerre(order: int, alpha: float):
     """Nodes and weights of the order-point Gauss rule for the weight x^alpha e^(-x)
     on (0, inf), by Golub-Welsch: the nodes are the eigenvalues of the Jacobi
     matrix of the generalized Laguerre recurrence, and each weight is
-    Gamma(alpha + 1) times the squared first component of its eigenvector."""
+    Gamma(alpha + 1) times the squared first component of its eigenvector.
+    Memoised; the arrays are read-only."""
     i = np.arange(order)
     off = np.sqrt(i[1:] * (i[1:] + alpha))
     jacobi = np.diag(2.0 * i + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vectors = np.linalg.eigh(jacobi)
-    return nodes, math.gamma(alpha + 1.0) * vectors[0] ** 2
+    weights = math.gamma(alpha + 1.0) * vectors[0] ** 2
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _moment_quadrature(mode, power, v, n_rad, n_theta, n_phi):

@@ -17,11 +17,13 @@ Two routes:
   use the contour trick of Kassam & Trefethen (2005).  Plain RK4 is kept
   for cross-validation at small truncations.
 
-Both routes hand back a ``Trajectory``: the sample times and one read-only
-(samples x modes) coefficient block.  ``integrate_numeric`` returns one at
-every step and ``ExpPolyTrajectory.sample`` one at the requested times;
-``diagnostics`` reduces a ``Trajectory`` to per-sample norms with array
-operations over that block.
+Both routes produce their samples as read-only row blocks of about
+BLOCK_ELEMENTS coefficients, each a ``Trajectory`` (sample times and a
+(samples x modes) coefficient block).  ``trajectory_blocks`` hands those
+blocks out one at a time, so a run holds one block whatever its length;
+``integrate_numeric`` and ``ExpPolyTrajectory.sample`` gather them into one
+``Trajectory``.  ``DiagnosticsReducer`` reduces blocks in time order to
+per-sample norms, and ``diagnostics`` applies it to a whole ``Trajectory``.
 """
 
 import math
@@ -76,6 +78,11 @@ class IntegratorConfig:
         if self.alpha > 0:
             raise ValueError(f"alpha must be <= 0, got {self.alpha}")
 
+    @property
+    def times(self) -> np.ndarray:
+        """Sample times of a run: every multiple of dt up to t_final."""
+        return np.arange(int(math.floor(self.t_final / self.dt + 1e-9)) + 1) * self.dt
+
 
 class Trajectory:
     """Sampled trajectory: ``times`` and a read-only (samples x modes) block.
@@ -121,6 +128,16 @@ class Trajectory:
         rows = max(1, BLOCK_ELEMENTS // self.coeffs.shape[1])
         for lo in range(0, len(self.times), rows):
             yield slice(lo, lo + rows)
+
+
+def _gather(truncation: int, times, blocks) -> Trajectory:
+    """One Trajectory at `times` holding the rows of `blocks`, in order."""
+    coeffs = np.empty((len(times), len(mode_table(truncation))), dtype=np.complex128)
+    lo = 0
+    for block in blocks:
+        coeffs[lo : lo + len(block)] = block.coeffs
+        lo += len(block)
+    return Trajectory(truncation, times, coeffs)
 
 
 def _merge_by_key(mode, rate, degree, coef):
@@ -181,14 +198,18 @@ class ExpPolyTrajectory:
         return SpectralState(self.truncation, self.eval_coeffs(t), t=t)
 
     def sample(self, times) -> Trajectory:
-        """Coefficients at ``times``, evaluated in row blocks whose (rows x terms)
-        temporaries hold about BLOCK_ELEMENTS values."""
+        """Coefficients at ``times``."""
         times = np.asarray(times, dtype=float)
-        coeffs = np.empty((len(times), len(self._bounds) - 1), dtype=np.complex128)
-        rows = max(1, BLOCK_ELEMENTS // max(len(self.coef), coeffs.shape[1]))
+        return _gather(self.truncation, times, self._blocks(times))
+
+    def _blocks(self, times: np.ndarray):
+        """Read-only row blocks at ``times``, whose (rows x terms) temporaries
+        hold about BLOCK_ELEMENTS values."""
+        rows = max(1, BLOCK_ELEMENTS // max(len(self.coef), len(self._bounds) - 1))
         for lo in range(0, len(times), rows):
-            coeffs[lo : lo + rows] = self._eval_block(times[lo : lo + rows])
-        return Trajectory(self.truncation, times, coeffs)
+            block = self._eval_block(times[lo : lo + rows])
+            block.flags.writeable = False
+            yield Trajectory(self.truncation, times[lo : lo + rows], block)
 
     def _pairs(self, i: int) -> tuple:
         """(rate, ascending poly) pairs of flat mode i."""
@@ -315,8 +336,10 @@ def solve_cascade(
 
 
 def _etdrk4_coeffs(lam: np.ndarray, dt: float, n_contour: int = 32):
-    """Kassam-Trefethen contour evaluation of the ETDRK4 phi-coefficients."""
-    z = -lam * dt
+    """Kassam-Trefethen contour evaluation of the ETDRK4 phi-coefficients,
+    once per distinct eigenvalue and scattered back over the modes."""
+    distinct, inverse = np.unique(lam, return_inverse=True)
+    z = -distinct * dt
     pts = np.exp(1j * math.pi * (np.arange(n_contour) + 0.5) / n_contour)
     lr = z[:, None] + pts[None, :]
     elr = np.exp(lr)
@@ -324,25 +347,27 @@ def _etdrk4_coeffs(lam: np.ndarray, dt: float, n_contour: int = 32):
     f1 = dt * np.real(np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1))
     f2 = dt * np.real(np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1))
     f3 = dt * np.real(np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1))
-    return np.exp(z), np.exp(z / 2.0), f0, f1, f2, f3
+    return tuple(c[inverse] for c in (np.exp(z), np.exp(z / 2.0), f0, f1, f2, f3))
 
 
-def _check_finite(y: np.ndarray, t: float, table) -> None:
-    bad = ~np.isfinite(y)
+def _check_finite(block: np.ndarray, first: int, lo: int, dt: float, table) -> None:
+    """Raise for the earliest non-finite row from `first` on of the block whose
+    first row is step `lo`, naming its first non-finite mode."""
+    bad = ~np.isfinite(block[first:])
     if np.any(bad):
-        i = int(np.argmax(bad))
+        r = int(np.argmax(bad.any(axis=1)))
+        i = int(np.argmax(bad[r]))
+        t = (lo + first + r) * dt
         raise BlowupError(f"non-finite amplitude at t={t:.6g} on mode {tuple(table.modes[i])}")
 
 
-def integrate_numeric(
-    init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig
-) -> Trajectory:
-    """Step the full quadratic system, returning the state at every dt multiple.
+def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig):
+    """Read-only row blocks of about BLOCK_ELEMENTS coefficients of the stepped
+    system, the first starting with the datum at t = 0.
 
-    etd-rk4 handles the diagonal exactly and has no step-size restriction
-    from the linear part; rk4 refuses steps beyond its stability bound.
-    Both apply only the stencil rows that can act along the run
-    (``CouplingTensor.live``), chosen once from the initial datum.
+    Each step writes straight into its row.  The finite check runs once per
+    block and names the first non-finite step; the steps after it in the same
+    block only carry the non-finite values along.
     """
     if init.truncation != tensor.N:
         raise DimensionMismatchError(
@@ -354,12 +379,7 @@ def integrate_numeric(
     lam = table.lam
     dt = cfg.dt
     tensor = tensor.live(init.coeffs)
-    n_steps = int(math.floor(cfg.t_final / dt + 1e-9))
-
-    times = np.arange(n_steps + 1) * dt
-    coeffs = np.empty((n_steps + 1, len(table)), dtype=np.complex128)
-    y = init.coeffs
-    coeffs[0] = y
+    times = cfg.times
 
     if cfg.method == "rk4":
         zmax = dt * float(np.max(lam))
@@ -372,33 +392,73 @@ def integrate_numeric(
         def rhs(y):
             return -lam * y + tensor.apply(y, y)
 
-        with np.errstate(invalid="ignore", over="ignore"):
-            for step in range(1, n_steps + 1):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * dt * k1)
-                k3 = rhs(y + 0.5 * dt * k2)
-                k4 = rhs(y + dt * k3)
-                y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                _check_finite(y, step * dt, table)
-                coeffs[step] = y
-        return Trajectory(init.truncation, times, coeffs)
+        def step(y, out):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            np.add(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), out=out)
 
-    e_full, e_half, f0, f1, f2, f3 = _etdrk4_coeffs(lam, dt)
-    # overflowing amplitudes produce inf/nan mid-step; the finite check below
-    # is the reporting path, so silence the intermediate arithmetic warnings
-    with np.errstate(invalid="ignore", over="ignore"):
-        for step in range(1, n_steps + 1):
+    else:
+        e_full, e_half, f0, f1, f2, f3 = _etdrk4_coeffs(lam, dt)
+        two_f2 = 2.0 * f2
+
+        def step(y, out):
+            ey = e_half * y
             n0 = tensor.apply(y, y)
-            a = e_half * y + f0 * n0
+            a = ey + f0 * n0
             n1 = tensor.apply(a, a)
-            b = e_half * y + f0 * n1
+            b = ey + f0 * n1
             n2 = tensor.apply(b, b)
             c = e_half * a + f0 * (2.0 * n2 - n0)
             n3 = tensor.apply(c, c)
-            y = e_full * y + f1 * n0 + 2.0 * f2 * (n1 + n2) + f3 * n3
-            _check_finite(y, step * dt, table)
-            coeffs[step] = y
-    return Trajectory(init.truncation, times, coeffs)
+            np.multiply(e_full, y, out=out)
+            out += f1 * n0
+            out += two_f2 * (n1 + n2)
+            out += f3 * n3
+
+    rows = max(1, BLOCK_ELEMENTS // len(table))
+    y = init.coeffs
+    for lo in range(0, len(times), rows):
+        block = np.empty((min(rows, len(times) - lo), len(table)), dtype=np.complex128)
+        first = 0
+        if lo == 0:
+            block[0] = y
+            first = 1
+        # overflowing amplitudes produce inf/nan mid-step; the finite check is
+        # the reporting path, so silence the intermediate arithmetic warnings
+        with np.errstate(invalid="ignore", over="ignore"):
+            for r in range(first, len(block)):
+                step(y, block[r])
+                y = block[r]
+        _check_finite(block, first, lo, dt, table)
+        block.flags.writeable = False
+        yield Trajectory(init.truncation, times[lo : lo + len(block)], block)
+
+
+def integrate_numeric(
+    init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig
+) -> Trajectory:
+    """Step the full quadratic system, returning the state at every dt multiple.
+
+    etd-rk4 handles the diagonal exactly and has no step-size restriction
+    from the linear part; rk4 refuses steps beyond its stability bound.
+    Both apply only the stencil rows that can act along the run
+    (``CouplingTensor.live``), chosen once from the initial datum.
+    """
+    return _gather(init.truncation, cfg.times, _numeric_blocks(init, tensor, cfg))
+
+
+def trajectory_blocks(init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig):
+    """The run ``cfg`` describes, sampled at ``cfg.times``, as an iterator of
+    read-only row blocks (``Trajectory``) in time order.
+
+    The cascade is solved before this returns; the numeric methods step as
+    the blocks are drawn, so only one block is held at a time.
+    """
+    if cfg.method == "cascade":
+        return solve_cascade(init, tensor)._blocks(cfg.times)
+    return _numeric_blocks(init, tensor, cfg)
 
 
 @dataclass(frozen=True)
@@ -411,6 +471,62 @@ class DiagnosticsRow:
     energy_integral: float
 
 
+class DiagnosticsReducer:
+    """The per-sample norms of ``diagnostics``, fed one row block at a time.
+
+    ``add`` takes blocks in time order and keeps five sums per row; ``rows``
+    takes the dissipation integral over them at the end.  A populated shell
+    whose log-weight leaves the double range raises WeightOverflowError in
+    the ``add`` of the block holding the earliest such sample.
+    """
+
+    def __init__(self, truncation: int, spec: NormSpec):
+        table = mode_table(truncation)
+        self._table = table
+        self._spec = spec
+        self._starts = np.searchsorted(table.shell, np.arange(table.N + 1))
+        self._h = table.hweight[self._starts]
+        self._log_h = np.log(self._h)
+        self._w_q = spec.alpha * self._log_h
+        self._times = [np.zeros(0)]
+        self._sums = [np.zeros((5, 0))]
+
+    def add(self, block: Trajectory) -> None:
+        """Reduce the rows of one block: |g|^2 summed per shell (the mode table
+        is ordered by shell, so each shell is one contiguous run of modes),
+        then the three norms as sums over shells of those energies times
+        exp(2 c1 t h_k + alpha log h_k)."""
+        coeffs, starts, log_h, w_q = block.coeffs, self._starts, self._log_h, self._w_q
+        sq = np.square(coeffs.real)
+        sq += np.square(coeffs.imag)
+        energy = np.add.reduceat(sq, starts, axis=1)
+        rate = 2.0 * self._spec.c1 * block.times[:, None] * self._h
+        w_g = rate + w_q
+        w_e = rate + (self._spec.alpha + 1.0) * log_h
+        weights = (w_q, w_g, w_e)
+        if max(w_q.max(), w_e.max()) > _LOG_MAX:
+            _raise_weight_overflow(coeffs, starts, *weights)
+            # every shell beyond the range is empty here: weight it 0, not inf
+            weights = [np.where(w > _LOG_MAX, -np.inf, w) for w in weights]
+        # per sample: squared q_alpha, gs and (alpha+1) norms; s2 and null-space norms
+        sums = np.empty((5, len(block)))
+        for j, w in enumerate(weights):
+            sums[j] = np.sum(energy * np.exp(w), axis=1)
+        sums[3] = np.linalg.norm(coeffs[:, self._table.s2_indices], axis=1)
+        sums[4] = np.linalg.norm(coeffs[:, self._table.null_indices], axis=1)
+        self._times.append(block.times)
+        self._sums.append(sums)
+
+    def rows(self) -> list:
+        """One DiagnosticsRow per row added so far."""
+        t = np.concatenate(self._times)
+        sums = np.concatenate(self._sums, axis=1)
+        trapezoids = 0.5 * np.diff(t) * (sums[2, 1:] + sums[2, :-1])
+        integral = self._spec.c1 * np.cumsum(np.concatenate(([0.0], trapezoids)))
+        columns = (t, np.sqrt(sums[0]), np.sqrt(sums[1]), sums[3], sums[4], integral)
+        return [DiagnosticsRow(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 def diagnostics(traj: Trajectory, spec: NormSpec) -> list:
     """Per-sample norms along a trajectory.
 
@@ -420,45 +536,16 @@ def diagnostics(traj: Trajectory, spec: NormSpec) -> list:
 
         c1 * integral_0^t || exp(c1 tau H) g ||^2_{alpha+1} d tau
 
-    summed by the trapezoid rule over the sample grid.
-
-    The block is reduced one row block at a time: |g|^2 is summed per
-    shell (the mode table is ordered by shell, so each shell is one
-    contiguous run of modes), and the three norms are sums over shells of
-    those energies times exp(2 c1 t h_k + alpha log h_k).  A populated shell
-    whose log-weight leaves the double range raises WeightOverflowError for
-    the earliest such sample, in the order the norms are listed above.
+    summed by the trapezoid rule over the sample grid.  The block is
+    reduced one row block at a time by ``DiagnosticsReducer``.  A populated
+    shell whose log-weight leaves the double range raises
+    WeightOverflowError for the earliest such sample, in the order the
+    norms are listed above.
     """
-    table = mode_table(traj.truncation)
-    starts = np.searchsorted(table.shell, np.arange(table.N + 1))
-    h = table.hweight[starts]
-    log_h = np.log(h)
-    w_q = spec.alpha * log_h
-    # per sample: squared q_alpha, gs and (alpha+1) norms; s2 and null-space norms
-    reduced = np.empty((5, len(traj)))
+    reducer = DiagnosticsReducer(traj.truncation, spec)
     for rows in traj.row_blocks():
-        block = traj.coeffs[rows]
-        sq = np.square(block.real)
-        sq += np.square(block.imag)
-        energy = np.add.reduceat(sq, starts, axis=1)
-        rate = 2.0 * spec.c1 * traj.times[rows, None] * h
-        w_g = rate + w_q
-        w_e = rate + (spec.alpha + 1.0) * log_h
-        weights = (w_q, w_g, w_e)
-        if max(w_q.max(), w_e.max()) > _LOG_MAX:
-            _raise_weight_overflow(block, starts, *weights)
-            # every shell beyond the range is empty here: weight it 0, not inf
-            weights = [np.where(w > _LOG_MAX, -np.inf, w) for w in weights]
-        for j, w in enumerate(weights):
-            reduced[j, rows] = np.sum(energy * np.exp(w), axis=1)
-        reduced[3, rows] = np.linalg.norm(block[:, table.s2_indices], axis=1)
-        reduced[4, rows] = np.linalg.norm(block[:, table.null_indices], axis=1)
-
-    t = traj.times
-    trapezoids = 0.5 * np.diff(t) * (reduced[2, 1:] + reduced[2, :-1])
-    integral = spec.c1 * np.cumsum(np.concatenate(([0.0], trapezoids)))
-    columns = (t, np.sqrt(reduced[0]), np.sqrt(reduced[1]), reduced[3], reduced[4], integral)
-    return [DiagnosticsRow(*row) for row in zip(*(c.tolist() for c in columns))]
+        reducer.add(traj[rows])
+    return reducer.rows()
 
 
 def _raise_weight_overflow(block, starts, w_q, w_g, w_e) -> None:

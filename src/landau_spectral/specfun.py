@@ -18,6 +18,7 @@ used only as test oracles behind an explicit sign translation.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,8 +166,10 @@ class QuadratureRule:
     order: int
 
 
+@lru_cache
 def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule of the given order (number of nodes)."""
+    """Gauss-Legendre rule of the given order (number of nodes), memoised:
+    the rule is immutable and its arrays are read-only."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = np.polynomial.legendre.leggauss(order)

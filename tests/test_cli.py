@@ -10,6 +10,7 @@ import pytest
 
 import landau_spectral
 from landau_spectral.basis import load_state_csv, nullspace_norm, s2_norm, save_state_csv
+from landau_spectral.basis import _LOG_MAX, NormSpec, SpectralState, mode_table
 from landau_spectral.cli import (
     RunConfig,
     build_initial_state,
@@ -18,10 +19,12 @@ from landau_spectral.cli import (
     init_from_file,
     init_single_mode,
     main,
+    run,
+    write_diagnostics_csv,
 )
 from landau_spectral.coupling import build_tensor
-from landau_spectral.errors import ConfigError, StateFileError
-from landau_spectral.solver import solve_cascade
+from landau_spectral.errors import BlowupError, ConfigError, StateFileError, WeightOverflowError
+from landau_spectral.solver import IntegratorConfig, diagnostics, integrate_numeric, solve_cascade
 from landau_spectral.verification import random_tilde_state
 
 
@@ -291,6 +294,137 @@ class TestRunCommand:
         assert len(lines) >= 3
 
 
+class TestStreamedRun:
+    """`run` streams row blocks; its outputs equal those of the in-memory path."""
+
+    def config(self, tmp_path, N, method, dt, t_final, init, trajectory=False, **over):
+        save_state_csv(init, tmp_path / "init.csv")
+        raw = {
+            "truncation": N,
+            "alpha": -2.0,
+            "c1": 0.05,
+            "dt": dt,
+            "t_final": t_final,
+            "method": method,
+            "init": {"kind": "file", "path": str(tmp_path / "init.csv")},
+            "output": {
+                "diagnostics": str(tmp_path / "diag.csv"),
+                "final_state": str(tmp_path / "final.csv"),
+                "trajectory": str(tmp_path / "traj.csv") if trajectory else None,
+            },
+            "tensor_dir": str(tmp_path / "cache"),
+        }
+        raw.update(over)
+        return RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "N, method, dt, t_final, trajectory, blocks",
+        [
+            (16, "etd-rk4", 1e-3, 1.0, False, 31),
+            (8, "rk4", 1e-3, 0.25, True, 2),
+            (10, "cascade", 2e-3, 0.3, True, 2),
+        ],
+        ids=["etdrk4-n16", "rk4-n8", "cascade-n10"],
+    )
+    def test_outputs_match_in_memory_path(self, tmp_path, N, method, dt, t_final, trajectory, blocks):
+        init = random_tilde_state(N, np.random.default_rng(37), s2_scale=0.3)
+        cfg = self.config(tmp_path, N, method, dt, t_final, init, trajectory)
+        assert run(cfg) == 0
+
+        loaded = load_state_csv(tmp_path / "init.csv", truncation=N)
+        icfg = cfg.integrator_config()
+        if method == "cascade":
+            n_steps = int(math.floor(t_final / dt + 1e-9))
+            series = solve_cascade(loaded, build_tensor(N)).sample([k * dt for k in range(n_steps + 1)])
+        else:
+            series = integrate_numeric(loaded, build_tensor(N), icfg)
+        assert len(list(series.row_blocks())) >= blocks
+        write_diagnostics_csv(diagnostics(series, NormSpec(alpha=-2.0, c1=0.05)), tmp_path / "d.csv")
+        save_state_csv(series[-1][1], tmp_path / "f.csv")
+        assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        assert (tmp_path / "final.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+        if trajectory:
+            reference_write_trajectory_csv(series, tmp_path / "t.csv")
+            assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path):
+        import tracemalloc
+
+        N = 12
+        init = random_tilde_state(N, np.random.default_rng(41), s2_scale=0.3)
+        run(self.config(tmp_path, N, "etd-rk4", 1e-3, 0.01, init))  # tensor and caches
+        peaks = []
+        for t_final in (0.5, 2.0):
+            cfg = self.config(tmp_path, N, "etd-rk4", 1e-3, t_final, init)
+            tracemalloc.start()
+            try:
+                assert run(cfg) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a (samples x modes) block would grow by 1500 * 455 * 16 B = 10.9 MB
+        assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+    def blowup_case(self, tmp_path):
+        # with amplitude -2 on (0, 0, 0) every mode grows as e^(+lam t): the
+        # mode (0, 12, 0) (lam = 180) leaves the double range before step 300,
+        # in a later row block than the first 72 rows at N = 12
+        N = 12
+        init = SpectralState.from_dict(N, {(0, 0, 0): -2.0, (0, 12, 0): 1e290})
+        cfg = self.config(tmp_path, N, "etd-rk4", 1e-3, 0.3, init, trajectory=True)
+        return init, cfg
+
+    def test_blowup_in_later_block_names_first_step(self, tmp_path):
+        init, cfg = self.blowup_case(tmp_path)
+        icfg = cfg.integrator_config()
+        one_step = IntegratorConfig(method="etd-rk4", dt=icfg.dt, t_final=icfg.dt)
+        # the in-memory path one step at a time: each call checks its one step
+        state = init
+        for step in range(1, 301):
+            try:
+                state = integrate_numeric(state, build_tensor(12), one_step)[-1][1]
+            except BlowupError as exc:
+                mode = str(exc).split(" on mode ")[1]
+                break
+        assert 72 < step < 300
+        with pytest.raises(BlowupError) as info:
+            run(cfg)
+        assert str(info.value) == f"non-finite amplitude at t={step * icfg.dt:.6g} on mode {mode}"
+
+    def test_weight_overflow_in_later_block_names_first_shell(self, tmp_path):
+        # c1 = 1.45: exp(2 c1 t h_8 - log h_8) leaves the double range near
+        # t = 25.9, step 259 of dt = 0.1, in the second row block of 198 rows
+        N = 8
+        init = random_tilde_state(N, np.random.default_rng(43), s2_scale=0.3)
+        cfg = self.config(tmp_path, N, "etd-rk4", 0.1, 27.0, init, c1=1.45)
+        loaded = load_state_csv(tmp_path / "init.csv", truncation=N)
+        series = integrate_numeric(loaded, build_tensor(N), cfg.integrator_config())
+        with pytest.raises(WeightOverflowError) as want:
+            diagnostics(series, NormSpec(alpha=-2.0, c1=1.45))
+        with pytest.raises(WeightOverflowError) as got:
+            run(cfg)
+        assert (got.value.shell, got.value.exponent) == (want.value.shell, want.value.exponent) 
+        h = mode_table(N).hweight.max()
+        w_e = 2.0 * 1.45 * series.times * h - math.log(h)
+        first = int(np.argmax(w_e > _LOG_MAX))
+        assert first > 198
+        assert got.value.shell == 8 and got.value.exponent == w_e[first]
+
+    def test_failed_run_leaves_no_output(self, tmp_path):
+        _, cfg = self.blowup_case(tmp_path)
+        before = set(tmp_path.iterdir())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "truncation": cfg.truncation, "alpha": cfg.alpha, "c1": cfg.c1, "dt": cfg.dt,
+            "t_final": cfg.t_final, "method": cfg.method, "init": cfg.init,
+            "output": {"diagnostics": cfg.diagnostics_path, "final_state": cfg.final_state_path,
+                       "trajectory": cfg.trajectory_path},
+            "tensor_dir": cfg.tensor_dir,
+        }))
+        assert main(["run", "--config", str(path)]) == 1
+        assert set(tmp_path.iterdir()) - before <= {path, tmp_path / "cache"}
+
+
 class TestTensorEnv:
     def test_env_overrides_cache_dir(self, tmp_path, monkeypatch):
         import landau_spectral.cli as cli
@@ -334,6 +468,25 @@ assert main(["verify", "--level", "fast"]) == 0
 assert main(["run", "--config", sys.argv[1]]) == 0
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
 """
+
+
+# Imports the CLI and runs an etd-rk4 `run`, then prints whether the
+# verification module was loaded on the way.
+_RUN_CHILD = """
+import json, sys
+from landau_spectral.cli import main
+assert main(["run", "--config", sys.argv[1]]) == 0
+print(json.dumps("landau_spectral.verification" in sys.modules))
+"""
+
+
+def test_run_never_imports_verification(tmp_path):
+    cfg = TestRunCommand().write_config(tmp_path, truncation=6, t_final=0.05)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CHILD, str(cfg)], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) is False
 
 
 def test_commands_never_import_scipy(tmp_path):

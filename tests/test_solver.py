@@ -31,6 +31,7 @@ from landau_spectral.solver import (
     integrate_numeric,
     smallness_threshold,
     solve_cascade,
+    trajectory_blocks,
 )
 from landau_spectral.verification import random_tilde_state
 
@@ -459,6 +460,24 @@ class TestIntegrateNumeric:
         )
         compared = series[::200]
         assert np.max(np.abs(traj.sample(compared.times).coeffs - compared.coeffs)) <= 1e-6
+
+
+class TestTrajectoryBlocks:
+    @pytest.mark.parametrize("method", ["etd-rk4", "rk4", "cascade"])
+    def test_blocks_are_the_gathered_rows(self, method):
+        N = 8
+        init = random_tilde_state(N, np.random.default_rng(47), s2_scale=0.3)
+        cfg = IntegratorConfig(method=method, dt=1e-3, t_final=0.5)
+        blocks = list(trajectory_blocks(init, build_tensor(N), cfg))
+        # 198 rows per block at N=8 when stepping; the cascade's blocks are smaller
+        assert len(blocks) >= 3 and blocks[0].times[0] == 0.0
+        assert all(not b.coeffs.flags.writeable and not b.coeffs.base.flags.writeable for b in blocks)
+        if method == "cascade":
+            whole = solve_cascade(init, build_tensor(N)).sample(cfg.times)
+        else:
+            whole = integrate_numeric(init, build_tensor(N), cfg)
+        np.testing.assert_array_equal(np.concatenate([b.times for b in blocks]), whole.times)
+        np.testing.assert_array_equal(np.concatenate([b.coeffs for b in blocks]), whole.coeffs)
 
 
 class TestDiagnostics:

@@ -359,9 +359,11 @@ def _assemble(N: int, columns: dict) -> CouplingTensor:
     at = ((np.cumsum(depth) - depth)[slot] + rank) * n + tgt
     rows = np.tile(np.arange(n), (int(depth.sum()), 1))
     np.put(rows, at, src)
-    # complex, so that the apply multiplies complex rows without a cast per call
+    # complex, so that the apply multiplies complex rows without a cast per
+    # call; the entries go into the real parts, the even slots of a float view
     coefs = np.zeros(rows.shape, dtype=np.complex128)
-    np.put(coefs, at, coef)
+    at *= 2
+    np.put(coefs.view(np.float64), at, coef)
     drivers = np.repeat(drivers, depth)
     for arr in (drivers, rows, coefs):
         arr.flags.writeable = False

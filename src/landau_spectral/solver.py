@@ -350,15 +350,15 @@ def _etdrk4_coeffs(lam: np.ndarray, dt: float, n_contour: int = 32):
     return tuple(c[inverse] for c in (np.exp(z), np.exp(z / 2.0), f0, f1, f2, f3))
 
 
-def _check_finite(block: np.ndarray, first: int, lo: int, dt: float, table) -> None:
-    """Raise for the earliest non-finite row from `first` on of the block whose
-    first row is step `lo`, naming its first non-finite mode."""
-    bad = ~np.isfinite(block[first:])
+def _check_finite(rows: np.ndarray, times: np.ndarray, table) -> None:
+    """Raise for the earliest non-finite row, naming its time and first non-finite mode."""
+    bad = ~np.isfinite(rows)
     if np.any(bad):
         r = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[r]))
-        t = (lo + first + r) * dt
-        raise BlowupError(f"non-finite amplitude at t={t:.6g} on mode {tuple(table.modes[i])}")
+        raise BlowupError(
+            f"non-finite amplitude at t={times[r]:.6g} on mode {tuple(table.modes[i])}"
+        )
 
 
 def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig):
@@ -420,8 +420,9 @@ def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: Integrator
     rows = max(1, BLOCK_ELEMENTS // len(table))
     y = init.coeffs
     for lo in range(0, len(times), rows):
-        block = np.empty((min(rows, len(times) - lo), len(table)), dtype=np.complex128)
-        first = 0
+        block_times = times[lo : lo + rows]
+        block = np.empty((len(block_times), len(table)), dtype=np.complex128)
+        first = 0  # the first stepped row; the datum opens the first block
         if lo == 0:
             block[0] = y
             first = 1
@@ -431,9 +432,9 @@ def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: Integrator
             for r in range(first, len(block)):
                 step(y, block[r])
                 y = block[r]
-        _check_finite(block, first, lo, dt, table)
+        _check_finite(block[first:], block_times[first:], table)
         block.flags.writeable = False
-        yield Trajectory(init.truncation, times[lo : lo + len(block)], block)
+        yield Trajectory(init.truncation, block_times, block)
 
 
 def integrate_numeric(

@@ -257,6 +257,11 @@ class TestRunCommand:
         written = (tmp_path / "traj.csv").read_bytes()
         assert written.count(b"\n") > 151 * 100
         assert written == (tmp_path / "ref.csv").read_bytes()
+        # the streamed diagnostics and final state equal the in-memory path's
+        write_diagnostics_csv(diagnostics(series, NormSpec(alpha=0.0, c1=0.05)), tmp_path / "rd.csv")
+        save_state_csv(series[-1][1], tmp_path / "rf.csv")
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "rd.csv").read_bytes()
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rf.csv").read_bytes()
 
     def test_deterministic_output(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -317,28 +322,20 @@ class TestStreamedRun:
         raw.update(over)
         return RunConfig.from_dict(raw)
 
+    # the cascade case is TestRunCommand.test_trajectory_csv_matches_state_writer
     @pytest.mark.parametrize(
-        "N, method, dt, t_final, trajectory, blocks",
-        [
-            (16, "etd-rk4", 1e-3, 1.0, False, 31),
-            (8, "rk4", 1e-3, 0.25, True, 2),
-            (10, "cascade", 2e-3, 0.3, True, 2),
-        ],
-        ids=["etdrk4-n16", "rk4-n8", "cascade-n10"],
+        "N, method, t_final, trajectory, blocks",
+        [(16, "etd-rk4", 1.0, False, 31), (8, "rk4", 0.25, True, 2)],
+        ids=["etdrk4-n16", "rk4-n8"],
     )
-    def test_outputs_match_in_memory_path(self, tmp_path, N, method, dt, t_final, trajectory, blocks):
+    def test_outputs_match_in_memory_path(self, tmp_path, N, method, t_final, trajectory, blocks):
         init = random_tilde_state(N, np.random.default_rng(37), s2_scale=0.3)
-        cfg = self.config(tmp_path, N, method, dt, t_final, init, trajectory)
+        cfg = self.config(tmp_path, N, method, 1e-3, t_final, init, trajectory)
         assert run(cfg) == 0
 
         loaded = load_state_csv(tmp_path / "init.csv", truncation=N)
-        icfg = cfg.integrator_config()
-        if method == "cascade":
-            n_steps = int(math.floor(t_final / dt + 1e-9))
-            series = solve_cascade(loaded, build_tensor(N)).sample([k * dt for k in range(n_steps + 1)])
-        else:
-            series = integrate_numeric(loaded, build_tensor(N), icfg)
-        assert len(list(series.row_blocks())) >= blocks
+        series = integrate_numeric(loaded, build_tensor(N), cfg.integrator_config())
+        assert len(list(series.row_blocks())) == blocks
         write_diagnostics_csv(diagnostics(series, NormSpec(alpha=-2.0, c1=0.05)), tmp_path / "d.csv")
         save_state_csv(series[-1][1], tmp_path / "f.csv")
         assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
@@ -403,7 +400,7 @@ class TestStreamedRun:
             diagnostics(series, NormSpec(alpha=-2.0, c1=1.45))
         with pytest.raises(WeightOverflowError) as got:
             run(cfg)
-        assert (got.value.shell, got.value.exponent) == (want.value.shell, want.value.exponent) 
+        assert (got.value.shell, got.value.exponent) == (want.value.shell, want.value.exponent)
         h = mode_table(N).hweight.max()
         w_e = 2.0 * 1.45 * series.times * h - math.log(h)
         first = int(np.argmax(w_e > _LOG_MAX))

@@ -130,16 +130,6 @@ class Trajectory:
             yield slice(lo, lo + rows)
 
 
-def _gather(truncation: int, times, blocks) -> Trajectory:
-    """One Trajectory at `times` holding the rows of `blocks`, in order."""
-    coeffs = np.empty((len(times), len(mode_table(truncation))), dtype=np.complex128)
-    lo = 0
-    for block in blocks:
-        coeffs[lo : lo + len(block)] = block.coeffs
-        lo += len(block)
-    return Trajectory(truncation, times, coeffs)
-
-
 def _merge_by_key(mode, rate, degree, coef):
     """Terms summed over equal integer (mode, rate, degree) keys, sorted by key,
     with zero sums dropped."""
@@ -200,7 +190,12 @@ class ExpPolyTrajectory:
     def sample(self, times) -> Trajectory:
         """Coefficients at ``times``."""
         times = np.asarray(times, dtype=float)
-        return _gather(self.truncation, times, self._blocks(times))
+        coeffs = np.empty((len(times), len(self._bounds) - 1), dtype=np.complex128)
+        lo = 0
+        for block in self._blocks(times):
+            coeffs[lo : lo + len(block)] = block.coeffs
+            lo += len(block)
+        return Trajectory(self.truncation, times, coeffs)
 
     def _blocks(self, times: np.ndarray):
         """Read-only row blocks at ``times``, whose (rows x terms) temporaries
@@ -338,7 +333,8 @@ def solve_cascade(
 def _etdrk4_coeffs(lam: np.ndarray, dt: float, n_contour: int = 32):
     """Kassam-Trefethen contour evaluation of the ETDRK4 phi-coefficients,
     once per distinct eigenvalue and scattered back over the modes."""
-    distinct, inverse = np.unique(lam, return_inverse=True)
+    # the eigenvalues are integers: an integer sort finds the distinct ones
+    distinct, inverse = np.unique(lam.astype(np.int64), return_inverse=True)
     z = -distinct * dt
     pts = np.exp(1j * math.pi * (np.arange(n_contour) + 0.5) / n_contour)
     lr = z[:, None] + pts[None, :]
@@ -361,11 +357,12 @@ def _check_finite(rows: np.ndarray, times: np.ndarray, table) -> None:
         )
 
 
-def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig):
+def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig, out=None):
     """Read-only row blocks of about BLOCK_ELEMENTS coefficients of the stepped
-    system, the first starting with the datum at t = 0.
+    system at ``cfg.times``, the first starting with the datum at t = 0.
 
-    Each step writes straight into its row.  The finite check runs once per
+    Each block is a fresh array, or with ``out`` (samples x modes) a view of
+    its rows.  Each step writes straight into its row.  The finite check runs once per
     block and names the first non-finite step; the steps after it in the same
     block only carry the non-finite values along.
     """
@@ -421,7 +418,10 @@ def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: Integrator
     y = init.coeffs
     for lo in range(0, len(times), rows):
         block_times = times[lo : lo + rows]
-        block = np.empty((len(block_times), len(table)), dtype=np.complex128)
+        if out is None:
+            block = np.empty((len(block_times), len(table)), dtype=np.complex128)
+        else:
+            block = out[lo : lo + rows]
         first = 0  # the first stepped row; the datum opens the first block
         if lo == 0:
             block[0] = y
@@ -447,7 +447,11 @@ def integrate_numeric(
     Both apply only the stencil rows that can act along the run
     (``CouplingTensor.live``), chosen once from the initial datum.
     """
-    return _gather(init.truncation, cfg.times, _numeric_blocks(init, tensor, cfg))
+    times = cfg.times
+    coeffs = np.empty((len(times), len(init.table)), dtype=np.complex128)
+    for _ in _numeric_blocks(init, tensor, cfg, out=coeffs):
+        pass
+    return Trajectory(init.truncation, times, coeffs)
 
 
 def trajectory_blocks(init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig):

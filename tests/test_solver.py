@@ -480,6 +480,22 @@ class TestTrajectoryBlocks:
         np.testing.assert_array_equal(np.concatenate([b.coeffs for b in blocks]), whole.coeffs)
 
 
+    def test_one_row_blocks(self, monkeypatch):
+        # at N >= 44 a block holds one row, and the first block only the datum
+        import landau_spectral.solver as solver
+
+        init = random_tilde_state(6, np.random.default_rng(53), s2_scale=0.3)
+        cfg = IntegratorConfig(method="etd-rk4", dt=1e-2, t_final=0.2)
+        want = integrate_numeric(init, build_tensor(6), cfg)
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 1)
+        blocks = list(trajectory_blocks(init, build_tensor(6), cfg))
+        assert [len(b) for b in blocks] == [1] * 21
+        np.testing.assert_array_equal(np.concatenate([b.coeffs for b in blocks]), want.coeffs)
+        rows = diagnostics(want, NormSpec(alpha=-1.0, c1=0.1))
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 1 << 15)
+        assert rows == diagnostics(want, NormSpec(alpha=-1.0, c1=0.1))
+
+
 class TestDiagnostics:
     def test_single_mode_norms(self):
         tensor = build_tensor(2)

@@ -191,19 +191,20 @@ class ExpPolyTrajectory:
         """Coefficients at ``times``."""
         times = np.asarray(times, dtype=float)
         coeffs = np.empty((len(times), len(self._bounds) - 1), dtype=np.complex128)
-        lo = 0
-        for block in self._blocks(times):
-            coeffs[lo : lo + len(block)] = block.coeffs
-            lo += len(block)
+        for _ in self._blocks(times, out=coeffs):
+            pass
         return Trajectory(self.truncation, times, coeffs)
 
-    def _blocks(self, times: np.ndarray):
-        """Read-only row blocks at ``times``, whose (rows x terms) temporaries
-        hold about BLOCK_ELEMENTS values."""
+    def _blocks(self, times: np.ndarray, out=None):
+        """Row blocks (``Trajectory``) at ``times``, whose (rows x terms)
+        temporaries hold about BLOCK_ELEMENTS values.  Each block is a fresh
+        array, or with ``out`` (samples x modes) a view of its rows."""
         rows = max(1, BLOCK_ELEMENTS // max(len(self.coef), len(self._bounds) - 1))
         for lo in range(0, len(times), rows):
             block = self._eval_block(times[lo : lo + rows])
-            block.flags.writeable = False
+            if out is not None:
+                out[lo : lo + rows] = block
+                block = out[lo : lo + rows]
             yield Trajectory(self.truncation, times[lo : lo + rows], block)
 
     def _pairs(self, i: int) -> tuple:
@@ -367,7 +368,8 @@ def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: Integrator
     system at ``cfg.times``, the first starting with the datum at t = 0.
 
     Each block is a fresh array, or with ``out`` (samples x modes) a view of
-    its rows.  Each step writes straight into its row.  The finite check runs once per
+    its rows; the ``Trajectory`` around it is read-only.  Each step writes
+    straight into its row.  The finite check runs once per
     block and names the first non-finite step; the steps after it in the same
     block only carry the non-finite values along.
     """
@@ -438,7 +440,6 @@ def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: Integrator
                 step(y, block[r])
                 y = block[r]
         _check_finite(block[first:], block_times[first:], table)
-        block.flags.writeable = False
         yield Trajectory(init.truncation, block_times, block)
 
 

@@ -360,18 +360,21 @@ def _check_finite(rows: np.ndarray, times: np.ndarray, table) -> None:
     bad = ~np.isfinite(rows)
     r = int(np.argmax(bad.any(axis=1)))
     i = int(np.argmax(bad[r]))
-    raise BlowupError(f"non-finite amplitude at t={times[r]:.6g} on mode {tuple(table.modes[i])}")
+    raise BlowupError(
+        f"non-finite amplitude at t={times[r]:.6g} on mode {tuple(table.modes[i])}"
+    )
 
 
-def _numeric_blocks(init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig, out=None):
-    """Read-only row blocks of about BLOCK_ELEMENTS coefficients of the stepped
-    system at ``cfg.times``, the first starting with the datum at t = 0.
+def _numeric_blocks(
+    init: SpectralState, tensor: CouplingTensor, cfg: IntegratorConfig, out=None
+):
+    """Row blocks (``Trajectory``) of about BLOCK_ELEMENTS coefficients of the
+    stepped system at ``cfg.times``, the first starting with the datum at t = 0.
 
     Each block is a fresh array, or with ``out`` (samples x modes) a view of
-    its rows; the ``Trajectory`` around it is read-only.  Each step writes
-    straight into its row.  The finite check runs once per
-    block and names the first non-finite step; the steps after it in the same
-    block only carry the non-finite values along.
+    its rows, and each step writes straight into its row.  The finite check
+    runs once per block and names the first non-finite step; the steps after
+    it in the same block only carry the non-finite values along.
     """
     if init.truncation != tensor.N:
         raise DimensionMismatchError(

@@ -402,7 +402,7 @@ class TestStreamedRun:
             run(cfg)
         assert (got.value.shell, got.value.exponent) == (want.value.shell, want.value.exponent)
         h = mode_table(N).hweight.max()
-        w_e = 2.0 * 1.45 * series.times * h - math.log(h)
+        w_e = 2.0 * 1.45 * series.times * h - np.log(h)
         first = int(np.argmax(w_e > _LOG_MAX))
         assert first > 198
         assert got.value.shell == 8 and got.value.exponent == w_e[first]
@@ -410,16 +410,10 @@ class TestStreamedRun:
     def test_failed_run_leaves_no_output(self, tmp_path):
         _, cfg = self.blowup_case(tmp_path)
         before = set(tmp_path.iterdir())
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "truncation": cfg.truncation, "alpha": cfg.alpha, "c1": cfg.c1, "dt": cfg.dt,
-            "t_final": cfg.t_final, "method": cfg.method, "init": cfg.init,
-            "output": {"diagnostics": cfg.diagnostics_path, "final_state": cfg.final_state_path,
-                       "trajectory": cfg.trajectory_path},
-            "tensor_dir": cfg.tensor_dir,
-        }))
-        assert main(["run", "--config", str(path)]) == 1
-        assert set(tmp_path.iterdir()) - before <= {path, tmp_path / "cache"}
+        with pytest.raises(BlowupError):
+            run(cfg)
+        # the trajectory was streamed to a temporary file, which is gone too
+        assert set(tmp_path.iterdir()) - before <= {tmp_path / "cache"}
 
 
 class TestTensorEnv:

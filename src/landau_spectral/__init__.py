@@ -33,7 +33,6 @@ from .coupling import (
 )
 from .operators import (
     apply_bilinear,
-    apply_linear,
     fourier_multiplier_oracle,
     moment_integral_oracle,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SpectralState",
     "Trajectory",
     "apply_bilinear",
-    "apply_linear",
     "assoc_legendre",
     "build_tensor",
     "check_smallness",

@@ -43,11 +43,6 @@ def validate_mode(n: int, l: int, m: int) -> Mode:
     return Mode(n, l, m)
 
 
-def shell_mode_count(k: int) -> int:
-    """Number of modes (n, l, m) with 2n + l = k."""
-    return sum(2 * (k - 2 * n) + 1 for n in range(k // 2 + 1))
-
-
 class ModeTable:
     """Enumeration of all modes with shell <= N and flat-index lookups."""
 
@@ -237,20 +232,6 @@ class SpectralState:
         idx = self.table.index.get(mo)
         return 0.0 + 0.0j if idx is None else complex(self.coeffs[idx])
 
-    def amplitude(self, n: int, l: int, m: int) -> complex:
-        return self[(n, l, m)]
-
-    def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when g_{n,l,-m} = conj(g_{n,l,m}) within tol."""
-        table = self.table
-        for mo, idx in table.index.items():
-            if mo.m < 0:
-                continue
-            j = table.index[Mode(mo.n, mo.l, -mo.m)]
-            if abs(self.coeffs[j] - np.conj(self.coeffs[idx])) > tol:
-                return False
-        return True
-
     def nonzero_items(self):
         for i, mo in enumerate(self.table.modes):
             if self.coeffs[i] != 0:
@@ -303,18 +284,6 @@ def nullspace_norm(state: SpectralState) -> float:
     if idx.size == 0:
         return 0.0
     return float(np.linalg.norm(state.coeffs[idx]))
-
-
-def h_power(state: SpectralState, alpha: float) -> SpectralState:
-    """Spectral action of the oscillator power: multiply by (2n+l+3/2)^alpha."""
-    return state.with_coeffs(state.coeffs * state.table.hweight**alpha)
-
-
-def inner_product(a: SpectralState, b: SpectralState) -> complex:
-    """L2 inner product (a, b) = sum a_{n,l,m} conj(b_{n,l,m})."""
-    if a.truncation != b.truncation:
-        raise ValueError("inner_product requires matching truncations")
-    return complex(np.sum(a.coeffs * np.conj(b.coeffs)))
 
 
 def save_state_csv(state: SpectralState, path) -> None:

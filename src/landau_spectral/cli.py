@@ -1,16 +1,15 @@
-"""Command-line interface: simulation runs, verification, tensor cache.
+"""Command-line interface: simulation runs and verification.
 
 Subcommands:
 
-* ``run --config cfg.json`` -- build or load the coupling tensor, construct
-  the initial datum, integrate, and write diagnostics/final-state CSVs.
+* ``run --config cfg.json`` -- build the coupling tensor, construct the
+  initial datum, integrate, and write diagnostics/final-state CSVs.
   The run streams: it holds one row block of the trajectory at a time.
 * ``verify --level fast|full [--seed S] [--out report.json]`` -- run the
   property suites and emit a JSON report with per-check margins.
-* ``build-tensor --truncation N --out DIR`` -- precompute a tensor cache.
 
-The tensor cache directory resolves as: ``LANDAU_TENSOR_DIR`` environment
-variable, else the config's ``tensor_dir``, else ``./tensor-cache``.
+The tensor is rebuilt on every run: at N=16 that takes a few milliseconds,
+less than writing or reading it as a file.
 """
 
 import argparse
@@ -37,8 +36,8 @@ from .basis import (
     nullspace_norm,
     save_state_csv,
 )
-from .coupling import CouplingTensor, build_tensor, load_tensor, save_tensor
-from .errors import ConfigError, SpectralError, TensorCacheError
+from .coupling import CouplingTensor, build_tensor
+from .errors import ConfigError, SpectralError
 from .solver import (
     DiagnosticsReducer,
     IntegratorConfig,
@@ -48,8 +47,6 @@ from .solver import (
 )
 
 log = logging.getLogger("landau_spectral")
-
-DEFAULT_CACHE_DIR = "tensor-cache"
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,6 @@ class RunConfig:
     diagnostics_path: str
     final_state_path: str
     trajectory_path: str | None
-    tensor_dir: str | None
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -95,8 +91,9 @@ class RunConfig:
             diagnostics_path=str(output["diagnostics"]),
             final_state_path=str(output["final_state"]),
             trajectory_path=output.get("trajectory"),
-            tensor_dir=raw.get("tensor_dir"),
         )
+        if "tensor_dir" in raw:
+            log.info("config key 'tensor_dir' is ignored: every run builds its coupling tensor")
         if cfg.truncation < 2:
             raise ConfigError(f"truncation must be >= 2, got {cfg.truncation}")
         if cfg.alpha > 0:
@@ -183,43 +180,12 @@ def build_initial_state(cfg: RunConfig) -> SpectralState:
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
-def resolve_cache_dir(cfg_dir: str | None) -> Path:
-    env = os.environ.get("LANDAU_TENSOR_DIR")
-    return Path(env or cfg_dir or DEFAULT_CACHE_DIR)
-
-
-def tensor_cache_path(cache_dir: Path, N: int) -> Path:
-    return cache_dir / f"coupling_N{N}.csv"
-
-
-def load_or_build_tensor(N: int, cache_dir: Path) -> CouplingTensor:
-    path = tensor_cache_path(cache_dir, N)
-    if path.exists():
-        start = time.perf_counter()
-        try:
-            tensor = load_tensor(path, expected_N=N)
-        except TensorCacheError as exc:
-            log.warning("tensor cache invalid (%s); rebuilding", exc)
-        else:
-            log.info(
-                "coupling tensor N=%d loaded from cache in %.3fs (%s)",
-                N,
-                time.perf_counter() - start,
-                path,
-            )
-            return tensor
+def load_or_build_tensor(N: int) -> CouplingTensor:
+    """The coupling tensor of truncation N, built afresh; logs the build time."""
+    # the benchmark in perfbench/ times a run's tensor set-up under this name
     start = time.perf_counter()
     tensor = build_tensor(N)
-    built = time.perf_counter() - start
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        save_tensor(tensor, path)
-    except OSError as exc:
-        # the built tensor is all this run needs; only later runs lose the cache
-        msg = "coupling tensor N=%d built in %.3fs but not cached: cannot write %s (%s)"
-        log.warning(msg, N, built, path, exc)
-    else:
-        log.info("coupling tensor N=%d built in %.3fs (cached to %s)", N, built, path)
+    log.info("coupling tensor N=%d built in %.3fs", N, time.perf_counter() - start)
     return tensor
 
 
@@ -305,7 +271,7 @@ def _trajectory_sink(path):
 
 
 def run(cfg: RunConfig) -> int:
-    tensor = load_or_build_tensor(cfg.truncation, resolve_cache_dir(cfg.tensor_dir))
+    tensor = load_or_build_tensor(cfg.truncation)
     init = build_initial_state(cfg)
 
     try:
@@ -376,44 +342,23 @@ def main(argv=None) -> int:
     p_verify.add_argument("--seed", type=int, default=12345)
     p_verify.add_argument("--out", help="also write the JSON report to this path")
 
-    p_build = sub.add_parser("build-tensor", help="precompute a coupling tensor cache")
-    p_build.add_argument("--truncation", type=int, required=True)
-    p_build.add_argument("--out", help="cache directory (default: resolved cache dir)")
-
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
 
     try:
         if args.command == "run":
             return run(RunConfig.from_file(args.config))
-        if args.command == "verify":
-            from .verification import run_checks  # only verify needs the checks
+        from .verification import run_checks  # only verify needs the checks
 
-            report = run_checks(level=args.level, seed=args.seed)
-            text = json.dumps(report, indent=2)
-            print(text)
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            return 0 if report["passed"] else 1
-        if args.command == "build-tensor":
-            cache_dir = Path(args.out) if args.out else resolve_cache_dir(None)
-            start = time.perf_counter()
-            tensor = build_tensor(args.truncation)
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            path = tensor_cache_path(cache_dir, args.truncation)
-            save_tensor(tensor, path)
-            log.info(
-                "tensor N=%d (%d entries) built in %.3fs -> %s",
-                args.truncation,
-                len(tensor),
-                time.perf_counter() - start,
-                path,
-            )
-            return 0
+        report = run_checks(level=args.level, seed=args.seed)
+        text = json.dumps(report, indent=2)
+        print(text)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        return 0 if report["passed"] else 1
     except (SpectralError, ValueError, OSError) as exc:
         _emit_error(exc)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

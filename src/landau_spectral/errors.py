@@ -25,10 +25,6 @@ class WeightOverflowError(SpectralError):
         )
 
 
-class StepSizeError(SpectralError):
-    """Explicit step size violates the stability bound of the method."""
-
-
 class BlowupError(SpectralError):
     """Non-finite amplitude encountered during time stepping."""
 

@@ -1,6 +1,7 @@
-"""The linearized (diagonal) and bilinear collision operators in
-coefficient space, plus the independent Fourier-side and moment-integral
-oracles used to validate the expansion identities numerically.
+"""The bilinear collision operator in coefficient space, plus the
+independent Fourier-side and moment-integral oracles used to validate the
+expansion identities numerically.  The linearized operator is diagonal in
+this basis, with the eigenvalues ``ModeTable.lam``.
 
 The bilinear operator is almost diagonal: only driver modes at shell <= 2
 couple, so applying it is a gather, two products and a sum over the rows of
@@ -18,11 +19,6 @@ from .basis import SpectralState, psi_hat, validate_mode
 from .coupling import A1, A2, A3, CouplingTensor
 from .errors import DimensionMismatchError, QuadratureOrderError
 from .specfun import gauss_legendre, laguerre, ylm
-
-
-def apply_linear(state: SpectralState) -> SpectralState:
-    """Multiply each amplitude by its collision eigenvalue."""
-    return state.with_coeffs(state.coeffs * state.table.lam)
 
 
 def apply_bilinear(

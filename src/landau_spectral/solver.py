@@ -11,11 +11,11 @@ Two routes:
   degree is raised.  ``ExpPolyTrajectory`` stores the terms as one flat set
   of arrays and evaluates them at many times with array operations only.
 
-* ``integrate_numeric`` steps the full quadratic system.  The default
-  method is ETDRK4 (Cox & Matthews 2002), which treats the stiff diagonal
-  exactly and the bilinear term explicitly; the phi-function coefficients
-  use the contour trick of Kassam & Trefethen (2005).  Plain RK4 is kept
-  for cross-validation at small truncations.
+* ``integrate_numeric`` steps the full quadratic system with ETDRK4
+  (Cox & Matthews 2002), which treats the stiff diagonal exactly and the
+  bilinear term explicitly; the phi-function coefficients use the contour
+  trick of Kassam & Trefethen (2005).  It needs no null-space-free datum,
+  and the cascade is its exact reference where both apply.
 
 Both routes produce their samples as read-only row blocks of about
 BLOCK_ELEMENTS coefficients, each a ``Trajectory`` (sample times and a
@@ -41,15 +41,7 @@ from .basis import (
     s2_norm,
 )
 from .coupling import CouplingTensor
-from .errors import (
-    BlowupError,
-    DimensionMismatchError,
-    NullSpaceError,
-    StepSizeError,
-    WeightOverflowError,
-)
-
-RK4_STABILITY = 2.785  # real-axis stability limit of classical RK4
+from .errors import BlowupError, DimensionMismatchError, NullSpaceError, WeightOverflowError
 
 C1_MAX = 16.0 / 11.0
 SMALLNESS_DENOM = 4.0 * math.sqrt(3.0) / 3.0 + math.sqrt(2.0)
@@ -67,8 +59,8 @@ class IntegratorConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.method not in ("cascade", "etd-rk4", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method not in ("cascade", "etd-rk4"):
+            raise ValueError(f"unknown method {self.method!r}; use 'cascade' or 'etd-rk4'")
         if not (self.dt > 0 and self.t_final > 0):
             raise ValueError("dt and t_final must be positive")
         if self.dt > self.t_final:
@@ -381,48 +373,26 @@ def _numeric_blocks(
             f"state N={init.truncation} does not match tensor N={tensor.N}"
         )
     if cfg.method == "cascade":
-        raise ValueError("integrate_numeric handles rk4/etd-rk4; use solve_cascade")
+        raise ValueError("integrate_numeric handles etd-rk4; use solve_cascade")
     table = init.table
-    lam = table.lam
-    dt = cfg.dt
     tensor = tensor.live(init.coeffs)
     times = cfg.times
+    e_full, e_half, f0, f1, f2, f3 = _etdrk4_coeffs(table.lam, cfg.dt)
+    two_f2 = 2.0 * f2
 
-    if cfg.method == "rk4":
-        zmax = dt * float(np.max(lam))
-        if zmax > RK4_STABILITY:
-            raise StepSizeError(
-                f"dt*max(lambda) = {zmax:.3g} exceeds the rk4 stability bound "
-                f"{RK4_STABILITY}; reduce dt or use etd-rk4"
-            )
-
-        def rhs(y):
-            return -lam * y + tensor.apply(y, y)
-
-        def step(y, out):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            np.add(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), out=out)
-
-    else:
-        e_full, e_half, f0, f1, f2, f3 = _etdrk4_coeffs(lam, dt)
-        two_f2 = 2.0 * f2
-
-        def step(y, out):
-            ey = e_half * y
-            n0 = tensor.apply(y, y)
-            a = ey + f0 * n0
-            n1 = tensor.apply(a, a)
-            b = ey + f0 * n1
-            n2 = tensor.apply(b, b)
-            c = e_half * a + f0 * (2.0 * n2 - n0)
-            n3 = tensor.apply(c, c)
-            np.multiply(e_full, y, out=out)
-            out += f1 * n0
-            out += two_f2 * (n1 + n2)
-            out += f3 * n3
+    def step(y, out):
+        ey = e_half * y
+        n0 = tensor.apply(y, y)
+        a = ey + f0 * n0
+        n1 = tensor.apply(a, a)
+        b = ey + f0 * n1
+        n2 = tensor.apply(b, b)
+        c = e_half * a + f0 * (2.0 * n2 - n0)
+        n3 = tensor.apply(c, c)
+        np.multiply(e_full, y, out=out)
+        out += f1 * n0
+        out += two_f2 * (n1 + n2)
+        out += f3 * n3
 
     rows = max(1, BLOCK_ELEMENTS // len(table))
     y = init.coeffs
@@ -451,10 +421,9 @@ def integrate_numeric(
 ) -> Trajectory:
     """Step the full quadratic system, returning the state at every dt multiple.
 
-    etd-rk4 handles the diagonal exactly and has no step-size restriction
-    from the linear part; rk4 refuses steps beyond its stability bound.
-    Both apply only the stencil rows that can act along the run
-    (``CouplingTensor.live``), chosen once from the initial datum.
+    ETDRK4 handles the diagonal exactly and has no step-size restriction
+    from the linear part.  It applies only the stencil rows that can act
+    along the run (``CouplingTensor.live``), chosen once from the initial datum.
     """
     times = cfg.times
     coeffs = np.empty((len(times), len(init.table)), dtype=np.complex128)
@@ -467,8 +436,8 @@ def trajectory_blocks(init: SpectralState, tensor: CouplingTensor, cfg: Integrat
     """The run ``cfg`` describes, sampled at ``cfg.times``, as an iterator of
     read-only row blocks (``Trajectory``) in time order.
 
-    The cascade is solved before this returns; the numeric methods step as
-    the blocks are drawn, so only one block is held at a time.
+    The cascade is solved before this returns; ETDRK4 steps as the blocks
+    are drawn, so only one block is held at a time.
     """
     if cfg.method == "cascade":
         return solve_cascade(init, tensor)._blocks(cfg.times)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -92,7 +93,6 @@ class TestRunConfig:
                 "diagnostics": str(tmp_path / "diag.csv"),
                 "final_state": str(tmp_path / "final.csv"),
             },
-            "tensor_dir": str(tmp_path / "cache"),
         }
         raw.update(over)
         return raw
@@ -150,12 +150,13 @@ def child_env():
     return env
 
 
-def run_cli(args):
+def run_cli(args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "landau_spectral.cli", *args],
         capture_output=True,
         text=True,
         env=child_env(),
+        cwd=cwd,
     )
 
 
@@ -173,7 +174,6 @@ class TestRunCommand:
                 "diagnostics": str(tmp_path / "diag.csv"),
                 "final_state": str(tmp_path / "final.csv"),
             },
-            "tensor_dir": str(tmp_path / "cache"),
         }
         raw.update(over)
         path = tmp_path / "cfg.json"
@@ -202,25 +202,29 @@ class TestRunCommand:
         err = json.loads(proc.stderr.strip().splitlines()[-1])
         assert err["error"]["type"] == "NullSpaceError"
 
-    def test_warm_cache_skips_build(self, tmp_path):
-        cfg = self.write_config(tmp_path)
-        first = run_cli(["run", "--config", str(cfg)])
-        second = run_cli(["run", "--config", str(cfg)])
-        assert first.returncode == 0 and second.returncode == 0
-        assert "built in" in first.stderr
-        assert "loaded from cache" in second.stderr
+    def test_rk4_method_rejected(self, tmp_path):
+        cfg = self.write_config(tmp_path, method="rk4")
+        proc = run_cli(["run", "--config", str(cfg)])
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ConfigError"
+        assert "'rk4'" in err["error"]["message"]
 
-    def test_unwritable_cache_keeps_built_tensor(self, tmp_path):
+    def test_tensor_dir_key_is_ignored(self, tmp_path):
+        # configs written for the removed tensor cache still run, unchanged
+        plain = self.write_config(tmp_path, truncation=6)
+        assert run_cli(["run", "--config", str(plain)], cwd=tmp_path).returncode == 0
+        want = [(tmp_path / name).read_bytes() for name in ("diag.csv", "final.csv")]
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file, so no directory can be made under it\n")
         cfg = self.write_config(tmp_path, truncation=6, tensor_dir=str(blocker / "cache"))
-        proc = run_cli(["run", "--config", str(cfg)])
+        before = set(tmp_path.rglob("*"))
+        proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "diag.csv").read_text().startswith("t,q_alpha_norm")
-        final = load_state_csv(tmp_path / "final.csv", truncation=6)
-        assert complex(final[(0, 2, 0)]) == pytest.approx(math.exp(-6.0), rel=1e-8)
-        warnings = [line for line in proc.stderr.splitlines() if line.startswith("WARNING")]
-        assert any(str(blocker / "cache") in line for line in warnings)
+        assert [(tmp_path / name).read_bytes() for name in ("diag.csv", "final.csv")] == want
+        assert set(tmp_path.rglob("*")) == before
+        infos = [line for line in proc.stderr.splitlines() if line.startswith("INFO")]
+        assert sum("'tensor_dir' is ignored" in line for line in infos) == 1
 
     def test_c1_without_smallness_threshold(self, tmp_path):
         # IntegratorConfig accepts c1 < 16/11; the threshold exists only below 32/33
@@ -317,7 +321,6 @@ class TestStreamedRun:
                 "final_state": str(tmp_path / "final.csv"),
                 "trajectory": str(tmp_path / "traj.csv") if trajectory else None,
             },
-            "tensor_dir": str(tmp_path / "cache"),
         }
         raw.update(over)
         return RunConfig.from_dict(raw)
@@ -325,8 +328,8 @@ class TestStreamedRun:
     # the cascade case is TestRunCommand.test_trajectory_csv_matches_state_writer
     @pytest.mark.parametrize(
         "N, method, t_final, trajectory, blocks",
-        [(16, "etd-rk4", 1.0, False, 31), (8, "rk4", 0.25, True, 2)],
-        ids=["etdrk4-n16", "rk4-n8"],
+        [(16, "etd-rk4", 1.0, False, 31), (8, "etd-rk4", 0.25, True, 2)],
+        ids=["etdrk4-n16", "etdrk4-n8"],
     )
     def test_outputs_match_in_memory_path(self, tmp_path, N, method, t_final, trajectory, blocks):
         init = random_tilde_state(N, np.random.default_rng(37), s2_scale=0.3)
@@ -407,32 +410,14 @@ class TestStreamedRun:
         assert first > 198
         assert got.value.shell == 8 and got.value.exponent == w_e[first]
 
-    def test_failed_run_leaves_no_output(self, tmp_path):
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch):
         _, cfg = self.blowup_case(tmp_path)
-        before = set(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)  # a relative path would land here too
+        before = set(tmp_path.rglob("*"))
         with pytest.raises(BlowupError):
             run(cfg)
         # the trajectory was streamed to a temporary file, which is gone too
-        assert set(tmp_path.iterdir()) - before <= {tmp_path / "cache"}
-
-
-class TestTensorEnv:
-    def test_env_overrides_cache_dir(self, tmp_path, monkeypatch):
-        import landau_spectral.cli as cli
-
-        monkeypatch.setenv("LANDAU_TENSOR_DIR", str(tmp_path / "envcache"))
-        assert cli.resolve_cache_dir("other") == tmp_path / "envcache"
-        monkeypatch.delenv("LANDAU_TENSOR_DIR")
-        assert cli.resolve_cache_dir("other") == cli.Path("other")
-
-
-class TestBuildTensorCommand:
-    def test_build_and_reload(self, tmp_path):
-        assert main(["build-tensor", "--truncation", "4", "--out", str(tmp_path)]) == 0
-        from landau_spectral.coupling import load_tensor
-
-        tensor = load_tensor(tmp_path / "coupling_N4.csv", expected_N=4)
-        assert tensor.N == 4
+        assert set(tmp_path.rglob("*")) == before
 
 
 class TestVerifyCommand:
@@ -495,3 +480,35 @@ def test_commands_never_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_benchmark_traces_every_layer(tmp_path, command):
+    # perfbench traces public names of the package; a metric whose name went
+    # missing is reported absent, so every metric must be present here
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    if command == "run":
+        cfg = TestRunCommand().write_config(tmp_path, truncation=4, t_final=0.05)
+        args = ["--probe-apply", "0.01", "--", "run", "--config", str(cfg)]
+        facts = dict(steps=50, samples=51, modes=len(mode_table(4)))
+    else:
+        args = ["--", "verify", "--level", "fast"]
+        facts = dict(steps=0, samples=0, modes=0)
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "trace_child.py"), "--out", str(out), *args],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts.update(wall_s=1.0, untraced_run_s=1.0, cache_bytes=0, output_bytes=0)
+    metrics = layers.layer_metrics(json.loads(out.read_text()), facts)
+    assert set(layers.UNITS) - set(metrics) == set()
+    assert all(math.isfinite(v) for v in metrics.values()), metrics

@@ -480,8 +480,10 @@ class DiagnosticsReducer:
         then the three norms as sums over shells of those energies times
         exp(2 c1 t h_k + alpha log h_k)."""
         coeffs, starts, log_h, w_q = block.coeffs, self._starts, self._log_h, self._w_q
-        sq = np.square(coeffs.real)
-        sq += np.square(coeffs.imag)
+        # energies past the double range read inf: _check_finite or WeightOverflowError reports them
+        with np.errstate(over="ignore"):
+            sq = np.square(coeffs.real)
+            sq += np.square(coeffs.imag)
         energy = np.add.reduceat(sq, starts, axis=1)
         rate = 2.0 * self._spec.c1 * block.times[:, None] * self._h
         w_g = rate + w_q

@@ -8,9 +8,11 @@ channel attains its bound as an equality, which is recorded rather than
 assumed), the Fourier-side expansion identities, the driver moment
 integrals, agreement of the exact cascade with the numeric integrator, the
 trilinear inequality, null-space closure, and the eigenvalue lower bound.
+The acceptance suite and the unit tests run these same checks at fixed seeds.
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .operators import (
     moment_integral_oracle,
 )
 from .solver import (
+    C1_MAX,
     SMALLNESS_DENOM,
     IntegratorConfig,
     diagnostics,
@@ -116,8 +119,6 @@ def check_sphere_orthonormality(lmax, tol=1e-12):
 
 
 def check_gaunt_permutation(rng, samples=40, tol=1e-13):
-    from itertools import permutations
-
     worst = 0.0
     for _ in range(samples):
         l1, l2 = int(rng.integers(0, 5)), int(rng.integers(0, 5))
@@ -144,25 +145,24 @@ def _bound_applies(ch: str, n: int, l: int) -> bool:
 
 
 def check_coefficient_sums(n_max, l_max, tol=1e-11):
-    """Brute-force channel sums vs closed forms and bounds, all m*."""
+    """Brute-force channel sums, all m*, vs the A1 and A3 closed forms and all bounds."""
     worst_closed = 0.0
     worst_bound = -math.inf
     for n in range(0, n_max + 1):
         for l in range(0, l_max + 1):
             for ch in ("A1", "A2", "A3"):
-                ref = sum_sq_closed_form(ch, n, l)
-                bound = sum_sq_bound(ch, n, l) if _bound_applies(ch, n, l) else None
-                for m_star in range(-l, l + 1):
-                    val = sum_sq_channel(ch, n, l, m_star)
-                    worst_closed = max(worst_closed, abs(val - ref))
-                    if bound is not None:
-                        worst_bound = max(worst_bound, val - bound)
+                vals = np.array([sum_sq_channel(ch, n, l, m) for m in range(-l, l + 1)])
+                if ch != "A2":  # check_a2_equality owns the A2 closed form
+                    ref = sum_sq_closed_form(ch, n, l)
+                    worst_closed = max(worst_closed, np.abs(vals - ref).max())
+                if _bound_applies(ch, n, l):
+                    worst_bound = max(worst_bound, vals.max() - sum_sq_bound(ch, n, l))
     passed = worst_closed <= tol and worst_bound <= tol
     return _check(
         "coefficient_sums",
         passed,
         tol - max(worst_closed, worst_bound),
-        f"n <= {n_max}, l <= {l_max}: max |sum - closed| {worst_closed:.3e}, "
+        f"n <= {n_max}, l <= {l_max}: max |sum - closed| (A1, A3) {worst_closed:.3e}, "
         f"max (sum - bound) {worst_bound:.3e}",
     )
 
@@ -190,14 +190,15 @@ def check_a2_equality(n_max, l_max, tol=1e-11):
 
 
 def check_fourier_multiplier(rng, shell_max=4, tol=1e-10):
-    xi = rng.standard_normal((10, 3))
-    xi *= (0.3 + 2.7 * rng.random((10, 1))) / np.linalg.norm(xi, axis=1, keepdims=True)
     drivers = [(1, 0, 0)] + [(0, 2, m2) for m2 in range(-2, 3)]
     worst = 0.0
     for k in range(shell_max + 1):
         for n in range(k // 2 + 1):
             l = k - 2 * n
             for m in range(-l, l + 1):
+                # a fresh sample of 10 points, 0.3 <= |xi| <= 3, per target mode
+                xi = rng.standard_normal((10, 3))
+                xi *= (0.3 + 2.7 * rng.random((10, 1))) / np.linalg.norm(xi, axis=1, keepdims=True)
                 for drv in drivers:
                     worst = max(worst, fourier_multiplier_oracle(drv, (n, l, m), xi))
     return _check(
@@ -216,11 +217,10 @@ def check_moment_integrals(rng, tol=1e-8):
 def check_cascade_vs_numeric(rng, N, tol=1e-6):
     tensor = build_tensor(N)
     init = random_tilde_state(N, rng, s2_scale=0.3)
-    # keep the overall datum moderate so the quadratic term stays tame
-    init = SpectralState(N, init.coeffs * (0.5 / max(1.0, np.abs(init.coeffs).max())))
+    init = SpectralState(N, init.coeffs * 0.5)
     traj = solve_cascade(init, tensor)
     series = integrate_numeric(init, tensor, IntegratorConfig(method="etd-rk4", dt=1e-3, t_final=1.0))
-    compared = series[::100]
+    compared = series[::50]
     worst = float(np.max(np.abs(traj.sample(compared.times).coeffs - compared.coeffs)))
     return _check(
         "cascade_vs_numeric", worst <= tol, tol - worst, f"N={N}, max mode error {worst:.3e}"
@@ -231,17 +231,14 @@ def check_trilinear(rng, N, triples, tol=0.0):
     tensor = build_tensor(N)
     worst_margin = math.inf
     worst_ratio = 0.0
-    const = SMALLNESS_DENOM
     for _ in range(triples):
-        f = project_tilde(random_tilde_state(N, rng, real_symmetric=False), N)
-        g = project_tilde(random_tilde_state(N, rng, real_symmetric=False), N)
-        h = project_tilde(random_tilde_state(N, rng, real_symmetric=False), N)
+        f, g, h = (project_tilde(random_tilde_state(N, rng, real_symmetric=False), N) for _ in range(3))
         image = apply_bilinear(f, g, tensor)
         for alpha in (0.0, -1.0, -2.0):
             weights = f.table.hweight**alpha
             lhs = abs(complex(np.sum(image.coeffs * np.conj(h.coeffs) * weights)))
             rhs = (
-                const
+                SMALLNESS_DENOM
                 * s2_norm(f)
                 * weighted_norm(project_tilde(g, N - 2), NormSpec(alpha=alpha + 1))
                 * weighted_norm(h, NormSpec(alpha=alpha + 1))
@@ -273,10 +270,10 @@ def check_eigenvalue_bound(shell_max=40):
     for k in range(3, shell_max + 1):
         for n in range(k // 2 + 1):
             l = k - 2 * n
-            margin = lambda_eig(n, l) - (16.0 / 11.0) * (k + 1.5)
+            margin = lambda_eig(n, l) - C1_MAX * (k + 1.5)
             if margin < worst:
                 worst, at = margin, (n, l)
-    shell2 = 12.0 - (16.0 / 11.0) * 3.5
+    shell2 = 12.0 - C1_MAX * 3.5
     passed = worst >= -1e-12 and shell2 > 0
     return _check(
         "eigenvalue_bound",

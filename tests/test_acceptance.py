@@ -1,5 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+Criteria 1, 2 and 9 compute their properties here.  Criteria 3-8 call the
+one check of ``landau_spectral.verification`` that owns each property, the
+same check ``landau-spectral verify`` runs, at a fixed seed:
+
+3. ``check_coefficient_sums`` (n, l <= 12), after pinning the closed forms
+   and bounds to the paper's formulas;
+4. ``check_fourier_multiplier`` (shells <= 4, seed 104);
+5. ``check_moment_integrals`` (seed 105);
+6. ``check_trilinear`` (N=20, 100 triples, seed 106);
+7. ``check_energy_decay`` (N=16, 10 data, seed 107);
+8. ``check_cascade_vs_numeric`` (N in 6, 9, 10, one stream of seed 108).
+
 Tolerances are fixed here, not tuned: eigenvalues exact, cascade decay to
 1e-12, numeric decay to 1e-9 relative, coefficient identities to 1e-11,
 expansion oracles to 1e-10, moment integrals to 1e-8, trilinear bound with
@@ -10,45 +22,37 @@ to 1e-6, example-datum coefficients to 1e-12.
 import math
 
 import numpy as np
-import pytest
 
-from landau_spectral.basis import (
-    Mode,
-    NormSpec,
-    SpectralState,
-    lambda_eig,
-    mode_table,
-    nullspace_norm,
-    project_tilde,
-    s2_norm,
-    weighted_norm,
-)
+from landau_spectral.basis import SpectralState, lambda_eig, nullspace_norm, s2_norm
 from landau_spectral.cli import example_dirac_coefficient, init_example_dirac
-from landau_spectral.coupling import (
-    build_tensor,
-    sum_sq_bound,
-    sum_sq_channel,
-    sum_sq_closed_form,
-)
-from landau_spectral.operators import (
-    apply_bilinear,
-    fourier_multiplier_oracle,
-    moment_integral_oracle,
-)
+from landau_spectral.coupling import build_tensor, sum_sq_bound, sum_sq_closed_form
 from landau_spectral.solver import (
     IntegratorConfig,
     integrate_numeric,
     smallness_threshold,
     solve_cascade,
 )
-from landau_spectral.verification import random_tilde_state
-
-TRILINEAR_CONST = 4 * math.sqrt(3) / 3 + math.sqrt(2)
+from landau_spectral.verification import (
+    check_cascade_vs_numeric,
+    check_coefficient_sums,
+    check_energy_decay,
+    check_fourier_multiplier,
+    check_moment_integrals,
+    check_trilinear,
+)
 
 
 def report(num, name, passed, detail):
     print(f"criterion {num} ({name}): {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {num} ({name}): {detail}"
+
+
+def report_checks(num, name, tol, *checks):
+    """One criterion line from verification checks run at tolerance ``tol``."""
+    detail = "; ".join(c["detail"] for c in checks)
+    margin = min(c["margin"] for c in checks)
+    passed = all(c["passed"] for c in checks)
+    report(num, name, passed, f"{detail} (tol {tol:g}, margin {margin:.4g})")
 
 
 def test_criterion_1_eigenvalue_table():
@@ -101,159 +105,49 @@ def test_criterion_2_exact_decay():
 
 
 def test_criterion_3_coefficient_identities():
-    worst_a1 = worst_a3 = 0.0
-    worst_bound = -math.inf
-    for n in range(2, 13):
+    # the paper's formulas, written out, pin the closed forms and bounds the check uses
+    for n in range(0, 13):
         for l in range(0, 13):
-            a1_closed = 8 * n * (n - 1) * (l + 2) * (l + 1) / ((2 * l + 3) * (2 * l + 1))
-            a3_closed = (
-                2 * (2 * n + 2 * l + 1) * (2 * n + 2 * l - 1) * l * (l - 1)
-                / ((2 * l + 1) * (2 * l - 1))
-                if l >= 2
-                else 0.0
-            )
-            for m_star in range(-l, l + 1):
-                worst_a1 = max(worst_a1, abs(sum_sq_channel("A1", n, l, m_star) - a1_closed))
-                worst_a3 = max(worst_a3, abs(sum_sq_channel("A3", n, l, m_star) - a3_closed))
-                worst_bound = max(
-                    worst_bound, sum_sq_channel("A1", n, l, m_star) - 16 * n * (n - 1) / 3
-                )
-                if l >= 1:
-                    worst_bound = max(
-                        worst_bound,
-                        sum_sq_channel("A2", n, l, m_star) - 4 * n * (2 * n + 2 * l + 1) / 3,
-                    )
-                if l >= 2:
-                    worst_bound = max(
-                        worst_bound,
-                        sum_sq_channel("A3", n, l, m_star)
-                        - (2 * n + 2 * l + 1) * (2 * n + 2 * l - 1) / 2,
-                    )
-    passed = worst_a1 <= 1e-11 and worst_a3 <= 1e-11 and worst_bound <= 1e-11
-    report(
-        3,
-        "coefficient identities",
-        passed,
-        f"max closed-form deviation A1 {worst_a1:.2e}, A3 {worst_a3:.2e} (tol 1e-11); "
-        f"max bound excess {worst_bound:.2e}",
-    )
+            a, b = 2 * n + 2 * l + 1, 2 * n + 2 * l - 1
+            written = {
+                ("A1", "closed"): 8 * n * (n - 1) * (l + 2) * (l + 1) / ((2 * l + 3) * (2 * l + 1)),
+                ("A3", "closed"): 2 * a * b * l * (l - 1) / ((2 * l + 1) * (2 * l - 1)),
+                ("A1", "bound"): 16 * n * (n - 1) / 3,
+                ("A2", "bound"): 4 * n * a / 3,
+                ("A3", "bound"): a * b / 2,
+            }
+            for (ch, kind), want in written.items():
+                got = (sum_sq_closed_form if kind == "closed" else sum_sq_bound)(ch, n, l)
+                assert math.isclose(got, want, rel_tol=1e-14), (ch, kind, n, l)
+    report_checks(3, "coefficient identities", 1e-11, check_coefficient_sums(12, 12, tol=1e-11))
 
 
 def test_criterion_4_expansion_oracle():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    drivers = [(1, 0, 0)] + [(0, 2, m2) for m2 in range(-2, 3)]
-    for k in range(0, 5):
-        for n in range(k // 2 + 1):
-            l = k - 2 * n
-            for m in range(-l, l + 1):
-                xi = rng.standard_normal((10, 3))
-                xi *= (0.3 + 2.7 * rng.random((10, 1))) / np.linalg.norm(xi, axis=1, keepdims=True)
-                for drv in drivers:
-                    worst = max(worst, fourier_multiplier_oracle(drv, (n, l, m), xi))
-    report(4, "expansion oracle", worst <= 1e-10, f"max relative deviation {worst:.2e} (tol 1e-10)")
+    check = check_fourier_multiplier(np.random.default_rng(104), shell_max=4, tol=1e-10)
+    report_checks(4, "expansion oracle", 1e-10, check)
 
 
 def test_criterion_5_moment_integrals():
-    rng = np.random.default_rng(105)
-    samples = rng.standard_normal((5, 3)) * 1.5
-    worst = max(moment_integral_oracle(w, samples) for w in ("orth1", "orth2", "orth3"))
-
-    from landau_spectral.operators import _moment_quadrature
-
-    direct = _moment_quadrature((1, 0, 0), 2, np.array([1.0, 0.0, 0.0]), 24, 16, 33)
-    value_ok = abs(direct.real + math.sqrt(6) / 3) <= 1e-8 and abs(direct.imag) <= 1e-10
-    report(
-        5,
-        "moment integrals",
-        worst <= 1e-8 and value_ok,
-        f"max relative deviation {worst:.2e} (tol 1e-8); "
-        f"radial second moment = {direct.real:.10f} vs -sqrt(6)/3",
-    )
+    check = check_moment_integrals(np.random.default_rng(105), tol=1e-8)
+    report_checks(5, "moment integrals", 1e-8, check)
 
 
 def test_criterion_6_trilinear_inequality():
-    N = 20
-    tensor = build_tensor(N)
-    rng = np.random.default_rng(106)
-    min_margin = math.inf
-    violations = 0
-    for _ in range(100):
-        f = project_tilde(random_tilde_state(N, rng, real_symmetric=False), N)
-        g = project_tilde(random_tilde_state(N, rng, real_symmetric=False), N)
-        h = project_tilde(random_tilde_state(N, rng, real_symmetric=False), N)
-        image = apply_bilinear(f, g, tensor)
-        for alpha in (0.0, -1.0, -2.0):
-            lhs = abs(complex(np.sum(image.coeffs * np.conj(h.coeffs) * f.table.hweight**alpha)))
-            rhs = (
-                TRILINEAR_CONST
-                * s2_norm(f)
-                * weighted_norm(project_tilde(g, N - 2), NormSpec(alpha=alpha + 1))
-                * weighted_norm(h, NormSpec(alpha=alpha + 1))
-            )
-            margin = (rhs - lhs) / rhs
-            min_margin = min(min_margin, margin)
-            if lhs > rhs:
-                violations += 1
-    report(
-        6,
-        "trilinear inequality",
-        violations == 0,
-        f"100 triples at N=20, alpha in (0,-1,-2): {violations} violations, "
-        f"min relative margin {min_margin:.4f}",
-    )
+    check = check_trilinear(np.random.default_rng(106), N=20, triples=100, tol=0.0)
+    report_checks(6, "trilinear inequality", 0.0, check)
 
 
 def test_criterion_7_energy_decay():
-    N, c1, alpha = 16, 0.05, -2.0
-    tensor = build_tensor(N)
-    rng = np.random.default_rng(107)
-    assert 0.3 < smallness_threshold(c1)
-    times = np.linspace(0.0, 2.0, 101)
-    worst_step = -math.inf
-    worst_excess = -math.inf
-    for _ in range(10):
-        init = random_tilde_state(N, rng, s2_scale=0.3)
-        traj = solve_cascade(init, tensor)
-        q0_sq = weighted_norm(init, NormSpec(alpha=alpha)) ** 2
-        energy = np.array(
-            [
-                weighted_norm(traj.state(float(t)), NormSpec(alpha=alpha, c1=c1, t=float(t))) ** 2
-                for t in times
-            ]
-        )
-        worst_step = max(worst_step, float(np.max(np.diff(energy))))
-        worst_excess = max(worst_excess, float(np.max(energy)) - q0_sq)
-    passed = worst_step <= 1e-10 and worst_excess <= 1e-10
-    report(
-        7,
-        "energy decay (smoothing witness)",
-        passed,
-        f"10 data at N=16, s2=0.3, c1=0.05, alpha=-2: max upward step {worst_step:.2e} "
-        f"(tol 1e-10), max excess over initial norm {worst_excess:.2e}",
-    )
+    # the check's data: s2 = 0.3, c1 = 0.05, alpha = -2, within the smallness condition
+    assert 0.3 < smallness_threshold(0.05)
+    check = check_energy_decay(np.random.default_rng(107), N=16, runs=10, tol=1e-10)
+    report_checks(7, "energy decay (smoothing witness)", 1e-10, check)
 
 
 def test_criterion_8_reduction_equivalence():
     rng = np.random.default_rng(108)
-    worst = 0.0
-    for N in (6, 9, 10):
-        tensor = build_tensor(N)
-        init = random_tilde_state(N, rng, s2_scale=0.3)
-        init = SpectralState(N, init.coeffs * 0.5)
-        traj = solve_cascade(init, tensor)
-        series = integrate_numeric(
-            init, tensor, IntegratorConfig(method="etd-rk4", dt=1e-3, t_final=1.0)
-        )
-        compared = series[::50]
-        errors = np.abs(traj.sample(compared.times).coeffs - compared.coeffs)
-        worst = max(worst, float(np.max(errors)))
-    report(
-        8,
-        "reduction equivalence",
-        worst <= 1e-6,
-        f"cascade vs full quadratic etd-rk4, N in (6,9,10): max mode error {worst:.2e} (tol 1e-6)",
-    )
+    checks = [check_cascade_vs_numeric(rng, N, tol=1e-6) for N in (6, 9, 10)]
+    report_checks(8, "reduction equivalence", 1e-6, *checks)
 
 
 def double_factorial(n):

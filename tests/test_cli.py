@@ -374,6 +374,7 @@ class TestStreamedRun:
         cfg = self.config(tmp_path, N, "etd-rk4", 1e-3, 0.3, init, trajectory=True)
         return init, cfg
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_in_later_block_names_first_step(self, tmp_path):
         init, cfg = self.blowup_case(tmp_path)
         icfg = cfg.integrator_config()
@@ -410,6 +411,7 @@ class TestStreamedRun:
         assert first > 198
         assert got.value.shell == 8 and got.value.exponent == w_e[first]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch):
         _, cfg = self.blowup_case(tmp_path)
         monkeypatch.chdir(tmp_path)  # a relative path would land here too

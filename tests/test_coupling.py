@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from landau_spectral import verification
 from landau_spectral.basis import Mode, mode_table
 from landau_spectral.coupling import (
     A1,
@@ -199,15 +200,10 @@ class TestChannelSums:
         for n in range(1, 6):
             assert sum_sq_channel("A2", n, 0, 0) == 0.0
 
-    @pytest.mark.parametrize("channel", ["A1", "A2", "A3"])
-    def test_closed_forms_and_m_star_independence(self, channel):
-        for n in range(0, 9):
-            for l in range(0, 9):
-                ref = sum_sq_closed_form(channel, n, l)
-                for m_star in range(-l, l + 1):
-                    assert sum_sq_channel(channel, n, l, m_star) == pytest.approx(
-                        ref, abs=1e-11
-                    )
+    def test_closed_forms_and_m_star_independence(self):
+        # A1 and A3 against their closed forms, and all three bounds, for every m*
+        check = verification.check_coefficient_sums(8, 8, tol=1e-11)
+        assert check["passed"], check["detail"]
 
     def test_bounds(self):
         for n in range(0, 9):
@@ -222,13 +218,18 @@ class TestChannelSums:
     def test_a2_equality_finding(self):
         # the A2 bound is quoted as an inequality; brute force shows the
         # Legendre-product value is attained exactly
-        worst = 0.0
-        for n in range(1, 9):
-            for l in range(0, 9):
-                ref = sum_sq_closed_form("A2", n, l)
-                for m_star in range(-l, l + 1):
-                    worst = max(worst, abs(sum_sq_channel("A2", n, l, m_star) - ref))
-        assert worst <= 1e-11
+        check = verification.check_a2_equality(8, 8, tol=1e-11)
+        assert check["passed"], check["detail"]
+
+    def test_a2_closed_form_belongs_to_a2_check(self, monkeypatch):
+        # a wrong A2 closed form fails the check that records the A2 equality,
+        # and only that one
+        def wrong_a2(channel, n, l):
+            return sum_sq_closed_form(channel, n, l) + (1.0 if channel == "A2" else 0.0)
+
+        monkeypatch.setattr(verification, "sum_sq_closed_form", wrong_a2)
+        assert verification.check_coefficient_sums(6, 6)["passed"]
+        assert not verification.check_a2_equality(6, 6)["passed"]
 
     def test_m_star_out_of_range(self):
         with pytest.raises(ValueError):

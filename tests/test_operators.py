@@ -8,7 +8,6 @@ from landau_spectral.basis import (
     NormSpec,
     SpectralState,
     mode_table,
-    nullspace_norm,
     project_tilde,
     s2_norm,
     weighted_norm,
@@ -21,7 +20,7 @@ from landau_spectral.operators import (
     fourier_multiplier_oracle,
     moment_integral_oracle,
 )
-from landau_spectral.verification import random_tilde_state
+from landau_spectral.verification import check_nullspace_closure, random_tilde_state
 from test_basis import is_real_symmetric
 
 TRILINEAR_CONST = 4 * math.sqrt(3) / 3 + math.sqrt(2)
@@ -83,12 +82,8 @@ class TestApplyBilinear:
             apply_bilinear(SpectralState.zeros(6), SpectralState.zeros(4), tensor)
 
     def test_nullspace_closure(self):
-        tensor = build_tensor(8)
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            f = random_tilde_state(8, rng, real_symmetric=False)
-            g = random_tilde_state(8, rng, real_symmetric=False)
-            assert nullspace_norm(apply_bilinear(f, g, tensor)) <= 1e-14
+        check = check_nullspace_closure(np.random.default_rng(41), N=8, pairs=50, tol=1e-14)
+        assert check["passed"], check["detail"]
 
     def test_reality_preserved(self):
         tensor = build_tensor(8)

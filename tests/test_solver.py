@@ -28,7 +28,7 @@ from landau_spectral.solver import (
     solve_cascade,
     trajectory_blocks,
 )
-from landau_spectral.verification import random_tilde_state
+from landau_spectral.verification import check_cascade_vs_numeric, random_tilde_state
 
 
 def _trim(poly):
@@ -444,16 +444,8 @@ class TestIntegrateNumeric:
             integrate_numeric(init, tensor, IntegratorConfig(method="etd-rk4", dt=0.1, t_final=1.0))
 
     def test_cascade_agreement(self):
-        tensor = build_tensor(9)
-        rng = np.random.default_rng(17)
-        init = random_tilde_state(9, rng, s2_scale=0.3)
-        init = SpectralState(9, init.coeffs * 0.5)
-        traj = solve_cascade(init, tensor)
-        series = integrate_numeric(
-            init, tensor, IntegratorConfig(method="etd-rk4", dt=1e-3, t_final=1.0)
-        )
-        compared = series[::200]
-        assert np.max(np.abs(traj.sample(compared.times).coeffs - compared.coeffs)) <= 1e-6
+        check = check_cascade_vs_numeric(np.random.default_rng(17), N=9, tol=1e-6)
+        assert check["passed"], check["detail"]
 
 
 class TestTrajectoryBlocks:

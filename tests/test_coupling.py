@@ -200,9 +200,15 @@ class TestChannelSums:
         for n in range(1, 6):
             assert sum_sq_channel("A2", n, 0, 0) == 0.0
 
-    def test_closed_forms_and_m_star_independence(self):
-        # A1 and A3 against their closed forms, and all three bounds, for every m*
-        check = verification.check_coefficient_sums(8, 8, tol=1e-11)
+    @pytest.mark.parametrize("channel", ["A1", "A2", "A3"])
+    def test_closed_forms_and_m_star_independence(self, channel):
+        # every m* against the channel's closed form, through the check that
+        # owns it: check_a2_equality for A2, check_coefficient_sums (which
+        # also checks all three bounds) for A1 and A3
+        if channel == "A2":
+            check = verification.check_a2_equality(8, 8, tol=1e-11)
+        else:
+            check = verification.check_coefficient_sums(8, 8, tol=1e-11)
         assert check["passed"], check["detail"]
 
     def test_bounds(self):

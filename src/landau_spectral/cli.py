@@ -73,19 +73,27 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         required = ("truncation", "alpha", "dt", "t_final", "init", "output")
         missing = [key for key in required if key not in raw]
         if missing:
             raise ConfigError(f"config is missing required fields: {', '.join(missing)}")
+        for key in ("init", "output"):
+            if not isinstance(raw[key], dict):
+                raise ConfigError(f"config {key!r} must be a JSON object, got {raw[key]!r}")
         output = raw["output"]
         if "diagnostics" not in output or "final_state" not in output:
             raise ConfigError("config output must name 'diagnostics' and 'final_state' paths")
+        truncation = raw["truncation"]
+        if isinstance(truncation, bool) or not isinstance(truncation, numbers.Integral):
+            raise ConfigError(f"truncation must be an integer, got {truncation!r}")
         cfg = cls(
-            truncation=int(raw["truncation"]),
-            alpha=float(raw["alpha"]),
-            c1=float(raw.get("c1", 0.05)),
-            dt=float(raw["dt"]),
-            t_final=float(raw["t_final"]),
+            truncation=int(truncation),
+            alpha=_finite(raw, "alpha"),
+            c1=_finite(raw, "c1", 0.05),
+            dt=_finite(raw, "dt"),
+            t_final=_finite(raw, "t_final"),
             method=str(raw.get("method", "etd-rk4")),
             init=dict(raw["init"]),
             diagnostics_path=str(output["diagnostics"]),
@@ -109,6 +117,18 @@ class RunConfig:
         return IntegratorConfig(
             method=self.method, dt=self.dt, t_final=self.t_final, c1=self.c1, alpha=self.alpha
         )
+
+
+def _finite(raw: dict, key: str, default=None) -> float:
+    """The config value at `key` (or `default`) as a finite float."""
+    value = raw.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def example_dirac_coefficient(k: int) -> float:

@@ -219,6 +219,13 @@ class CouplingTensor:
     next row of its driver.  A target without an entry in a row reads its
     own amplitude with coef 0, so padding carries no non-finite amplitude
     to another mode.
+
+    ``reach`` restricts the rows to the modes a datum reaches; there the
+    indices are positions in that set, and with ``pivot`` set the rows are
+    folded: every coefficient carries its driver's ratio to the driver at
+    position ``pivot``, and row r adds f[pivot] * coef[r, t] * g[src[r, t]].
+    ``channels`` and ``len`` always describe the full stencil, and
+    ``entries`` reads real coefficients, so it describes unfolded rows only.
     """
 
     N: int
@@ -226,6 +233,7 @@ class CouplingTensor:
     drivers: np.ndarray = field(repr=False)
     src: np.ndarray = field(repr=False)
     coef: np.ndarray = field(repr=False)
+    pivot: int | None = None
 
     def __len__(self) -> int:
         return sum(len(coef) for *_, coef in self.channels.values())
@@ -237,29 +245,71 @@ class CouplingTensor:
         # several-fold on a busy host
         rows = g.take(self.src)
         rows *= self.coef
-        rows *= f[self.drivers, None]
-        return rows.sum(axis=0)
+        if self.pivot is None:
+            rows *= f[self.drivers, None]
+            return rows.sum(axis=0)
+        out = rows.sum(axis=0)
+        out *= f[self.pivot]
+        return out
 
     def entries(self) -> tuple:
         """(driver, target, source, coef) arrays of the entries the rows hold, by row."""
         r, t = np.nonzero(self.coef)  # padding has coef 0, entries never do
         return self.drivers[r], t, self.src[r, t], self.coef[r, t].real
 
-    def live(self, f: np.ndarray) -> "CouplingTensor":
-        """The rows whose driver amplitude in f is nonzero, if f has no null-space
-        amplitude; otherwise self.
+    def reach(self, f: np.ndarray) -> tuple:
+        """(modes, rows): the flat indices of the modes a trajectory from the
+        datum f can reach, ascending, and the stencil rows over them.
 
-        Exact along every trajectory from f: with the null amplitudes zero,
-        L vanishes on shells <= 2, so the shell-2 drivers only decay and a
-        zero driver stays exactly zero.  ``channels`` and ``len`` still
-        describe the full stencil.
+        ``modes`` is the least set that holds the support of f and the target
+        of every entry whose driver and source it holds; every other mode
+        stays exactly 0 along the trajectory.  ``rows`` keeps the rows whose
+        driver is reached, with each entry from an unreached source made
+        padding, and acts on vectors over ``modes``.
+
+        Without null-space amplitude in f, L vanishes on shells <= 2, so only
+        the shell-2 drivers act, and along the run they stay f_d(0) times one
+        common decay factor.  The rows are then folded onto the reached driver
+        p of largest |f_p(0)|: the coefficients carry f_d(0) / f_p(0), which
+        is at most 1 in modulus, and the apply scales one row sum by the
+        amplitude at p.
         """
-        if np.any(f[mode_table(self.N).null_indices] != 0):
-            return self
-        keep = f[self.drivers] != 0
-        return replace(
-            self, drivers=self.drivers[keep], src=self.src[keep], coef=self.coef[keep]
-        )
+        table = mode_table(self.N)
+        reached = f != 0
+        starts = np.searchsorted(table.shell, np.arange(self.N + 2)).tolist()
+        # padding reads its own target and adds nothing.  Sources lie below
+        # their target's shell (diag reads the target itself), so a sweep in
+        # shell order settles every mode; it repeats while the drivers grow.
+        grown = True
+        while grown:
+            count = np.count_nonzero(reached)
+            live = np.flatnonzero(reached[self.drivers])
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                reached[lo:hi] |= reached[self.src[live, lo:hi]].any(axis=0)
+            grown = np.count_nonzero(reached) > count
+        modes = np.flatnonzero(reached)
+        position = np.cumsum(reached) - 1
+        drivers = self.drivers[live]
+        pivot, scale = None, np.ones(len(live))
+        if len(live) and not np.any(f[table.null_indices]):
+            p = drivers[np.argmax(np.abs(f[drivers]))]
+            pivot, scale = int(position[p]), f[drivers] / f[p]
+        src = np.empty((len(live), len(modes)), dtype=np.int64)
+        coef = np.empty(src.shape, dtype=np.complex128)
+        own = np.arange(len(modes))
+        # row by row, so that no temporary as large as the rows is made; an
+        # entry from an unreached source adds 0, so it becomes padding
+        for row, row_src, row_coef, ratio in zip(live, src, coef, scale):
+            np.take(self.src[row], modes, out=row_src)
+            np.take(self.coef[row], modes, out=row_coef)
+            outside = ~reached[row_src]
+            row_coef[outside] = 0.0
+            row_coef *= ratio
+            row_src[:] = np.where(outside, own, position[row_src])
+        drivers = position[drivers]
+        for arr in (drivers, src, coef):
+            arr.flags.writeable = False
+        return modes, replace(self, drivers=drivers, src=src, coef=coef, pivot=pivot)
 
 
 # Ladder channels: target (n, l, m) <- source (n - dn, l + dl, m - md) through

@@ -14,8 +14,10 @@ Two routes:
 * ``integrate_numeric`` steps the full quadratic system with ETDRK4
   (Cox & Matthews 2002), which treats the stiff diagonal exactly and the
   bilinear term explicitly; the phi-function coefficients use the contour
-  trick of Kassam & Trefethen (2005).  It needs no null-space-free datum,
-  and the cascade is its exact reference where both apply.
+  trick of Kassam & Trefethen (2005).  It steps only the modes the datum
+  reaches through the stencil (``CouplingTensor.reach``).  It needs no
+  null-space-free datum, and the cascade is its exact reference where both
+  apply.
 
 Both routes produce their samples as read-only row blocks of about
 BLOCK_ELEMENTS coefficients, each a ``Trajectory`` (sample times and a
@@ -363,10 +365,13 @@ def _numeric_blocks(
     """Row blocks (``Trajectory``) of about BLOCK_ELEMENTS coefficients of the
     stepped system at ``cfg.times``, the first starting with the datum at t = 0.
 
-    Each block is a fresh array, or with ``out`` (samples x modes) a view of
-    its rows, and each step writes straight into its row.  The finite check
-    runs once per block and names the first non-finite step; the steps after
-    it in the same block only carry the non-finite values along.
+    ETDRK4 steps only the modes the datum reaches, with the stencil rows over
+    them (``CouplingTensor.reach``), and writes each step into the reached
+    columns of its full-table row; every other column is 0.  Each block is a
+    fresh array, or with ``out`` (samples x modes, zero-filled) a view of its
+    rows.  The finite check runs once per block and names the first
+    non-finite step; the steps after it in the same block only carry the
+    non-finite values along.
     """
     if init.truncation != tensor.N:
         raise DimensionMismatchError(
@@ -375,43 +380,45 @@ def _numeric_blocks(
     if cfg.method == "cascade":
         raise ValueError("integrate_numeric handles etd-rk4; use solve_cascade")
     table = init.table
-    tensor = tensor.live(init.coeffs)
+    modes, stencil = tensor.reach(init.coeffs)
     times = cfg.times
-    e_full, e_half, f0, f1, f2, f3 = _etdrk4_coeffs(table.lam, cfg.dt)
+    e_full, e_half, f0, f1, f2, f3 = _etdrk4_coeffs(table.lam[modes], cfg.dt)
     two_f2 = 2.0 * f2
 
     def step(y, out):
         ey = e_half * y
-        n0 = tensor.apply(y, y)
+        n0 = stencil.apply(y, y)
         a = ey + f0 * n0
-        n1 = tensor.apply(a, a)
+        n1 = stencil.apply(a, a)
         b = ey + f0 * n1
-        n2 = tensor.apply(b, b)
+        n2 = stencil.apply(b, b)
         c = e_half * a + f0 * (2.0 * n2 - n0)
-        n3 = tensor.apply(c, c)
+        n3 = stencil.apply(c, c)
         np.multiply(e_full, y, out=out)
         out += f1 * n0
         out += two_f2 * (n1 + n2)
         out += f3 * n3
 
     rows = max(1, BLOCK_ELEMENTS // len(table))
-    y = init.coeffs
+    y = init.coeffs[modes]
+    y_next = np.empty_like(y)
     for lo in range(0, len(times), rows):
         block_times = times[lo : lo + rows]
         if out is None:
-            block = np.empty((len(block_times), len(table)), dtype=np.complex128)
+            block = np.zeros((len(block_times), len(table)), dtype=np.complex128)
         else:
             block = out[lo : lo + rows]
         first = 0  # the first stepped row; the datum opens the first block
         if lo == 0:
-            block[0] = y
+            block[0] = init.coeffs
             first = 1
         # overflowing amplitudes produce inf/nan mid-step; the finite check is
         # the reporting path, so silence the intermediate arithmetic warnings
         with np.errstate(invalid="ignore", over="ignore"):
             for r in range(first, len(block)):
-                step(y, block[r])
-                y = block[r]
+                step(y, y_next)
+                block[r, modes] = y_next
+                y, y_next = y_next, y
         _check_finite(block[first:], block_times[first:], table)
         yield Trajectory(init.truncation, block_times, block)
 
@@ -422,11 +429,13 @@ def integrate_numeric(
     """Step the full quadratic system, returning the state at every dt multiple.
 
     ETDRK4 handles the diagonal exactly and has no step-size restriction
-    from the linear part.  It applies only the stencil rows that can act
-    along the run (``CouplingTensor.live``), chosen once from the initial datum.
+    from the linear part.  It steps only the modes the initial datum reaches
+    through the stencil (``CouplingTensor.reach``), with the rows that act
+    on them, folded onto one driver amplitude when the datum has no
+    null-space amplitude; every other mode stays 0.
     """
     times = cfg.times
-    coeffs = np.empty((len(times), len(init.table)), dtype=np.complex128)
+    coeffs = np.zeros((len(times), len(init.table)), dtype=np.complex128)
     for _ in _numeric_blocks(init, tensor, cfg, out=coeffs):
         pass
     return Trajectory(init.truncation, times, coeffs)

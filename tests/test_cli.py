@@ -210,6 +210,22 @@ class TestRunCommand:
         assert err["error"]["type"] == "ConfigError"
         assert "'rk4'" in err["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "over",
+        [{"alpha": math.nan}, {"t_final": math.inf}, {"init": None}, {"truncation": 6.7}],
+        ids=["alpha-nan", "t_final-infinity", "init-null", "truncation-fraction"],
+    )
+    def test_unrunnable_config_rejected(self, tmp_path, over):
+        cfg = self.write_config(tmp_path, **over)
+        proc = run_cli(["run", "--config", str(cfg)])
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"]["type"] == "ConfigError"
+        assert next(iter(over)) in err["error"]["message"]
+        assert not (tmp_path / "diag.csv").exists() and not (tmp_path / "final.csv").exists()
+
     def test_tensor_dir_key_is_ignored(self, tmp_path):
         # configs written for the removed tensor cache still run, unchanged
         plain = self.write_config(tmp_path, truncation=6)
@@ -495,7 +511,17 @@ def test_benchmark_traces_every_layer(tmp_path, command):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     if command == "run":
-        cfg = TestRunCommand().write_config(tmp_path, truncation=4, t_final=0.05)
+        # all five shell-2 drivers and no null amplitude: the run steps folded rows
+        init = random_tilde_state(4, np.random.default_rng(29), s2_scale=0.3)
+        assert np.all(init.coeffs[mode_table(4).s2_indices] != 0)
+        assert build_tensor(4).reach(init.coeffs)[1].pivot is not None
+        save_state_csv(init, tmp_path / "init.csv")
+        cfg = TestRunCommand().write_config(
+            tmp_path,
+            truncation=4,
+            t_final=0.05,
+            init={"kind": "file", "path": str(tmp_path / "init.csv")},
+        )
         args = ["--probe-apply", "0.01", "--", "run", "--config", str(cfg)]
         facts = dict(steps=50, samples=51, modes=len(mode_table(4)))
     else:
@@ -511,6 +537,9 @@ def test_benchmark_traces_every_layer(tmp_path, command):
     )
     assert proc.returncode == 0, proc.stderr
     facts.update(wall_s=1.0, untraced_run_s=1.0, cache_bytes=0, output_bytes=0)
-    metrics = layers.layer_metrics(json.loads(out.read_text()), facts)
+    report = json.loads(out.read_text())
+    if command == "run":
+        assert report["stats"]["coupling.CouplingTensor.reach"][0] == 1
+    metrics = layers.layer_metrics(report, facts)
     assert set(layers.UNITS) - set(metrics) == set()
     assert all(math.isfinite(v) for v in metrics.values()), metrics

@@ -18,18 +18,11 @@ from .basis import (
     weighted_norm,
 )
 from .coupling import (
-    A1,
-    A2,
-    A3,
-    A_minus,
-    A_plus,
     CouplingTensor,
     build_tensor,
-    coef_tilde_C,
     gaunt,
     load_tensor,
     save_tensor,
-    sum_sq_channel,
 )
 from .operators import (
     apply_bilinear,
@@ -48,11 +41,6 @@ from .solver import (
 from .specfun import QuadratureRule, assoc_legendre, gauss_legendre, laguerre, ln_gamma, ylm
 
 __all__ = [
-    "A1",
-    "A2",
-    "A3",
-    "A_minus",
-    "A_plus",
     "CouplingTensor",
     "ExpPolyTrajectory",
     "IntegratorConfig",
@@ -65,7 +53,6 @@ __all__ = [
     "assoc_legendre",
     "build_tensor",
     "check_smallness",
-    "coef_tilde_C",
     "diagnostics",
     "fourier_multiplier_oracle",
     "gauss_legendre",
@@ -86,7 +73,6 @@ __all__ = [
     "save_state_csv",
     "save_tensor",
     "solve_cascade",
-    "sum_sq_channel",
     "weighted_norm",
     "ylm",
 ]

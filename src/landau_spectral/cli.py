@@ -181,8 +181,8 @@ def _is_seq(value, length: int, kind) -> bool:
 def build_initial_state(cfg: RunConfig) -> SpectralState:
     kind = cfg.init.get("kind")
     if kind == "example-dirac":
-        return init_example_dirac(cfg.truncation)
-    if kind == "single-mode":
+        state = init_example_dirac(cfg.truncation)
+    elif kind == "single-mode":
         mode = cfg.init.get("mode")
         amp = cfg.init.get("amplitude", 1.0)
         if not _is_seq(mode, 3, numbers.Integral):
@@ -191,13 +191,18 @@ def build_initial_state(cfg: RunConfig) -> SpectralState:
             if not _is_seq(amp, 2, numbers.Real):
                 raise ConfigError(f"single-mode 'amplitude' list must be [re, im], got {amp!r}")
             amp = complex(amp[0], amp[1])
-        return init_single_mode(cfg.truncation, mode, amp)
-    if kind == "file":
+        state = init_single_mode(cfg.truncation, mode, amp)
+    elif kind == "file":
         path = cfg.init.get("path")
         if not path:
             raise ConfigError("file init needs 'path'")
-        return init_from_file(path, cfg.truncation)
-    raise ConfigError(f"unknown init kind {kind!r}")
+        state = init_from_file(path, cfg.truncation)
+    else:
+        raise ConfigError(f"unknown init kind {kind!r}")
+    # otherwise a blow-up at t = dt, or a run that writes non-finite outputs
+    if not np.isfinite(state.coeffs).all():
+        raise ConfigError(f"{kind} init is not finite at t = 0")
+    return state
 
 
 def load_or_build_tensor(N: int) -> CouplingTensor:

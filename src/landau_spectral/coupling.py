@@ -8,20 +8,21 @@ between the package's phase-free harmonics and the Condon-Shortley convention
 baked into Wigner-3j closed forms; a 3j cross-check lives in the test suite
 behind an explicit sign translation layer.
 
-The scalar ``gaunt`` uses a rule of order (l1+l2+l3)/2 + 1 per integral and
-serves as the oracle.  The tensor needs only integrals with one factor of
-degree 1 or 2 (the drivers), all exact under one rule of order N + 2, so
-``build_tensor`` tabulates the theta-factors once at its nodes and forms every
-channel as array expressions over the mode table.
+``gaunt`` evaluates one integral with its own rule of order (l1+l2+l3)/2 + 1.
+The tensor needs only integrals with one factor of degree 1 or 2 (the
+drivers), all exact under one rule of order N + 2, so ``build_tensor``
+tabulates the theta-factors once at its nodes and forms every channel as
+array expressions over the mode table.  That stencil is the one copy of the
+coefficients, and the verification suite checks its entries.
 
-Five coefficient families drive the bilinear operator:
+Seven channels feed a target (n, l, m) from a source, through a driver:
 
-    A-  : shell-1 driver, source (n+1, l-1) ladder
-    A+  : shell-1 driver, source (n, l+1) ladder
-    A1/A2/A3 : shell-2 angular driver, sources two shells below the target
-    drift    : radial shell-2 driver (pure (n, l) -> (n+1, l) shift)
+    diag     : Maxwellian driver (0,0,0), the target itself
+    Am, Ap   : shell-1 drivers (0,1,m1), sources (n-1, l+1) and (n, l-1)
+    drift    : radial shell-2 driver (1,0,0), source (n-1, l)
+    A1/A2/A3 : angular shell-2 drivers (0,2,m2), sources (n-2, l+2),
+               (n-1, l) and (n, l-2)
 
-plus the diagonal channel attached to the Maxwellian driver mode (0,0,0).
 All coefficients are real; complex arithmetic enters only through state
 amplitudes.
 """
@@ -84,91 +85,6 @@ def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     # symmetric under pair permutations: canonicalize for the cache
     (a, p), (b, q), (c, r) = sorted(((l1, m1), (l2, m2), (l3, m3)))
     return _gaunt_theta(a, abs(p), b, abs(q), c, abs(r))
-
-
-def coef_tilde_C(m1: int, m: int, l: int, lp: int) -> float:
-    """Expansion coefficient of Y_1^{m1} Y_l^m onto Y_{lp}^{m1+m}.
-
-    Zero by convention when lp < 0 (the degree -1 harmonic is identically
-    zero) or the target order is out of range.
-    """
-    if lp not in (l - 1, l + 1):
-        raise ValueError(f"lp must be l-1 or l+1, got l={l}, lp={lp}")
-    if lp < 0 or abs(m1 + m) > lp:
-        return 0.0
-    return gaunt(1, m1, l, m, lp, -m1 - m)
-
-
-def A_minus(n: int, l: int, m: int, m1: int) -> float:
-    """Coefficient of phi_{n+1,l-1,m+m1} in the shell-1 driver expansion."""
-    if l < 1:
-        return 0.0
-    return 4.0 * _SQRT_PI_3 * (l - 1) * math.sqrt(2.0 * (n + 1)) * coef_tilde_C(m1, m, l, l - 1)
-
-
-def A_plus(n: int, l: int, m: int, m1: int) -> float:
-    """Coefficient of phi_{n,l+1,m+m1} in the shell-1 driver expansion."""
-    return 4.0 * _SQRT_PI_3 * (l + 2) * math.sqrt(2.0 * n + 2.0 * l + 3.0) * coef_tilde_C(m1, m, l, l + 1)
-
-
-def A1(n: int, l: int, m: int, m2: int) -> float:
-    """Coefficient of phi_{n+2,l-2,m+m2} in the shell-2 driver expansion."""
-    if l < 2 or abs(m + m2) > l - 2:
-        return 0.0
-    g = gaunt(2, m2, l, m, l - 2, -m2 - m)
-    return -4.0 * _SQRT_PI_15 * math.sqrt(4.0 * (n + 2) * (n + 1)) * g
-
-
-def A2(n: int, l: int, m: int, m2: int) -> float:
-    """Coefficient of phi_{n+1,l,m+m2} in the shell-2 driver expansion."""
-    if abs(m + m2) > l:
-        return 0.0
-    g = gaunt(2, m2, l, m, l, -m2 - m)
-    return 4.0 * _SQRT_PI_15 * math.sqrt(2.0 * (n + 1) * (2.0 * n + 2.0 * l + 3.0)) * g
-
-
-def A3(n: int, l: int, m: int, m2: int) -> float:
-    """Coefficient of phi_{n,l+2,m+m2} in the shell-2 driver expansion."""
-    if abs(m + m2) > l + 2:
-        return 0.0
-    g = gaunt(2, m2, l, m, l + 2, -m2 - m)
-    return -4.0 * _SQRT_PI_15 * math.sqrt((2.0 * n + 2.0 * l + 5.0) * (2.0 * n + 2.0 * l + 3.0)) * g
-
-
-def drift_coef(n: int, l: int) -> float:
-    """Radial-driver coefficient feeding mode (n, l) from (n-1, l)."""
-    return 4.0 * math.sqrt(3.0 * n * (2.0 * n + 2.0 * l + 1.0)) / 3.0
-
-
-def diag_coef(n: int, l: int) -> float:
-    """Maxwellian-driver diagonal, -(2(2n+l) + l(l+1)) for every mode."""
-    return -float(2 * (2 * n + l) + l * (l + 1))
-
-
-def sum_sq_channel(channel: str, n: int, l: int, m_star: int) -> float:
-    """Sum over (m, m2) with m + m2 = m_star of the squared coefficient.
-
-    Indices follow the target-side form: channel A1 sums |A1(n-2, l+2, ., .)|^2,
-    A2 sums |A2(n-1, l, ., .)|^2 and A3 sums |A3(n, l-2, ., .)|^2 for a target
-    mode (n, l, m_star).
-    """
-    if abs(m_star) > l:
-        raise ValueError(f"|m_star| <= l required, got l={l}, m_star={m_star}")
-    total = 0.0
-    for m2 in range(-2, 3):
-        m = m_star - m2
-        if channel == "A1":
-            if n >= 2 and abs(m) <= l + 2:
-                total += A1(n - 2, l + 2, m, m2) ** 2
-        elif channel == "A2":
-            if n >= 1 and abs(m) <= l:
-                total += A2(n - 1, l, m, m2) ** 2
-        elif channel == "A3":
-            if l >= 2 and abs(m) <= l - 2:
-                total += A3(n, l - 2, m, m2) ** 2
-        else:
-            raise ValueError(f"unknown channel {channel!r}")
-    return total
 
 
 def sum_sq_closed_form(channel: str, n: int, l: int) -> float:
@@ -314,7 +230,6 @@ class CouplingTensor:
 
 # Ladder channels: target (n, l, m) <- source (n - dn, l + dl, m - md) through
 # driver (0, d, md), with coefficient radial(n, l) * gaunt(d, md, l + dl, m - md, l, -m).
-# The radial factors are those of A_minus, A_plus, A1, A2, A3 in target indices.
 _LADDERS = (
     ("Am", 1, 1, 1, lambda n, l: 4.0 * _SQRT_PI_3 * l * np.sqrt(2.0 * n)),
     ("Ap", 1, 0, -1, lambda n, l: 4.0 * _SQRT_PI_3 * (l + 1) * np.sqrt(2.0 * n + 2.0 * l + 1.0)),
@@ -355,7 +270,7 @@ def _tensor_columns(N: int) -> dict:
     def flat(nn, ll, mm):
         return start[nn, ll] + ll + mm
 
-    t = np.flatnonzero(n + l > 0)  # diag_coef vanishes only on (0, 0, 0)
+    t = np.flatnonzero(n + l > 0)  # the diagonal vanishes only on (0, 0, 0)
     diag = -(2.0 * (2 * n[t] + l[t]) + l[t] * (l[t] + 1))
     columns = {"diag": (t, t, np.full_like(t, flat(0, 0, 0)), np.zeros_like(t), diag)}
     t = np.flatnonzero(n >= 1)

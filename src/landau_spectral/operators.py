@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import SpectralState, psi_hat, validate_mode
-from .coupling import A1, A2, A3, CouplingTensor
+from .basis import Mode, SpectralState, mode_table, psi_hat, validate_mode
+from .coupling import CouplingTensor, build_tensor
 from .errors import DimensionMismatchError, QuadratureOrderError
 from .specfun import gauss_legendre, laguerre, ylm
 
@@ -46,10 +46,10 @@ def fourier_multiplier_oracle(driver, target, xi_samples) -> float:
     """Max relative deviation between the Fourier-multiplier form and the
     coefficient expansion of the bilinear operator for one driver/target pair.
 
-    Both sides are analytic: the left side multiplies the target's Fourier
-    profile by the driver's multiplier symbol, the right side sums expansion
-    coefficients times shifted-mode profiles.  Supported drivers are the
-    radial shell-2 mode (1,0,0) and the angular shell-2 modes (0,2,m2).
+    The left side multiplies the target's Fourier profile by the driver's
+    multiplier symbol; the right side sums the stencil entries with this driver
+    and source ``target``, each coefficient times its own target's profile.
+    Supported drivers are the radial shell-2 mode (1,0,0) and the angular (0,2,m2).
     """
     dn, dl, dm = validate_mode(*driver)
     n, l, m = validate_mode(*target)
@@ -61,27 +61,24 @@ def fourier_multiplier_oracle(driver, target, xi_samples) -> float:
         raise ValueError("degenerate sample: |xi| < 1e-8")
 
     r2 = np.sum(xi * xi, axis=1)
-    term_scale = np.zeros(len(xi))
     if (dn, dl) == (1, 0):
         left = _DRIFT_MULT * r2 * psi_hat((n, l, m), xi)
-        coef = 4.0 * math.sqrt(3.0 * (n + 1) * (2 * n + 2 * l + 3)) / 3.0
-        right = coef * psi_hat((n + 1, l, m), xi)
     elif (dn, dl) == (0, 2):
         theta = np.arccos(np.clip(xi[:, 0] / norms, -1.0, 1.0))
         phi = np.arctan2(xi[:, 2], xi[:, 1])
         left = _QUAD_MULT * r2 * ylm(2, dm, theta, phi) * psi_hat((n, l, m), xi)
-        right = np.zeros(len(xi), dtype=np.complex128)
-        for coef, mode in (
-            (A1(n, l, m, dm), (n + 2, l - 2, m + dm)),
-            (A2(n, l, m, dm), (n + 1, l, m + dm)),
-            (A3(n, l, m, dm), (n, l + 2, m + dm)),
-        ):
-            if coef != 0.0:
-                term = coef * psi_hat(mode, xi)
-                term_scale = np.maximum(term_scale, np.abs(term))
-                right = right + term
     else:
         raise ValueError(f"unsupported driver mode {tuple(driver)}")
+    # a shell-2 driver raises the shell by 2: N = 8 holds every target of a source at shell <= 6
+    table = mode_table(8)
+    drv, tgt, src, coef = build_tensor(8).entries()
+    pick = (drv == table.index[Mode(dn, dl, dm)]) & (src == table.index[Mode(n, l, m)])
+    right = np.zeros(len(xi), dtype=np.complex128)
+    term_scale = np.zeros(len(xi))
+    for c, t in zip(coef[pick].tolist(), tgt[pick].tolist()):
+        term = c * psi_hat(table.modes[t], xi)
+        term_scale = np.maximum(term_scale, np.abs(term))
+        right = right + term
 
     # deviations are measured against the size of the computation, not of the
     # (possibly cancelling) sides: a wrong coefficient still shows up O(1)

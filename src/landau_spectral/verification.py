@@ -2,13 +2,14 @@
 
 Each check returns a dict with a pass flag and a margin (positive distance
 to the tolerance).  The suite covers quadrature exactness, sphere
-orthonormality, permutation symmetry of the angular integrals, the
-closed-form channel sums and their bounds (including whether the middle
-channel attains its bound as an equality, which is recorded rather than
-assumed), the Fourier-side expansion identities, the driver moment
-integrals, agreement of the exact cascade with the numeric integrator, the
-trilinear inequality, null-space closure, and the eigenvalue lower bound.
-The acceptance suite and the unit tests run these same checks at fixed seeds.
+orthonormality, permutation symmetry of the angular integrals, the channel
+sums and their bounds (including whether the middle channel attains its
+bound as an equality, which is recorded rather than assumed) and the
+Fourier-side expansion identities, both read off the stencil that ``run``
+applies, the driver moment integrals, agreement of the exact cascade with the
+numeric integrator, the trilinear inequality, null-space closure, and the
+eigenvalue lower bound.  The acceptance suite and the unit tests run these
+same checks at fixed seeds.
 """
 
 import math
@@ -27,7 +28,7 @@ from .basis import (
     s2_norm,
     weighted_norm,
 )
-from .coupling import build_tensor, gaunt, sum_sq_bound, sum_sq_channel, sum_sq_closed_form
+from .coupling import MAX_SHELL, build_tensor, gaunt, sum_sq_bound, sum_sq_closed_form
 from .operators import (
     apply_bilinear,
     fourier_multiplier_oracle,
@@ -85,6 +86,8 @@ def random_tilde_state(N: int, rng, s2_scale=None, real_symmetric=True) -> Spect
 
 
 def check_quadrature_exactness(tol=1e-13):
+    """Monomials at orders 1-12 (absolute error), and the integrals of P_l^2,
+    l < order (relative error), at the orders build_tensor uses at N = 18, 36, 64."""
     worst = 0.0
     for order in range(1, 13):
         rule = gauss_legendre(order)
@@ -93,6 +96,11 @@ def check_quadrature_exactness(tol=1e-13):
             want = 0.0 if deg % 2 else 2.0 / (deg + 1)
             worst = max(worst, abs(got - want))
         worst = max(worst, abs(float(np.sum(rule.weights)) - 2.0))
+    for order in (20, 38, MAX_SHELL + 2):
+        rule = gauss_legendre(order)
+        squares = rule.weights @ np.polynomial.legendre.legvander(rule.nodes, order - 1) ** 2
+        want = 2.0 / (2 * np.arange(order) + 1)
+        worst = max(worst, float(np.max(np.abs(squares - want) / want)))
     return _check("quadrature_exactness", worst <= tol, tol - worst, f"max error {worst:.3e}")
 
 
@@ -144,19 +152,35 @@ def _bound_applies(ch: str, n: int, l: int) -> bool:
     return l >= 2
 
 
+def _channel_sums(n_max, l_max) -> dict:
+    """{(channel, n, l): the sums of squared coefficients per m*}, read off the
+    ``build_tensor`` entries with a driver (0, 2, m2), by target, at the least
+    truncation that holds every target with n <= n_max and l <= l_max.  The
+    channel follows from n_tgt - n_src: 2 is A1, 1 is A2, 0 is A3."""
+    table = mode_table(max(2, 2 * n_max + l_max))
+    drv, tgt, src, coef = build_tensor(table.N).entries()
+    keep = np.isin(drv, table.s2_indices)
+    channel = 2 - table.n[tgt[keep]] + table.n[src[keep]]
+    sums = np.bincount(channel * len(table) + tgt[keep], coef[keep] ** 2, minlength=3 * len(table))
+    sums = sums.reshape(3, len(table))
+    return {
+        (ch, n, l): sums[row, table.index[Mode(n, l, -l)] : table.index[Mode(n, l, l)] + 1]
+        for row, ch in enumerate(("A1", "A2", "A3"))
+        for n in range(n_max + 1)
+        for l in range(l_max + 1)
+    }
+
+
 def check_coefficient_sums(n_max, l_max, tol=1e-11):
-    """Brute-force channel sums, all m*, vs the A1 and A3 closed forms and all bounds."""
+    """Stencil channel sums, all m*, vs the A1 and A3 closed forms and all bounds."""
     worst_closed = 0.0
     worst_bound = -math.inf
-    for n in range(0, n_max + 1):
-        for l in range(0, l_max + 1):
-            for ch in ("A1", "A2", "A3"):
-                vals = np.array([sum_sq_channel(ch, n, l, m) for m in range(-l, l + 1)])
-                if ch != "A2":  # check_a2_equality owns the A2 closed form
-                    ref = sum_sq_closed_form(ch, n, l)
-                    worst_closed = max(worst_closed, np.abs(vals - ref).max())
-                if _bound_applies(ch, n, l):
-                    worst_bound = max(worst_bound, vals.max() - sum_sq_bound(ch, n, l))
+    for (ch, n, l), vals in _channel_sums(n_max, l_max).items():
+        if ch != "A2":  # check_a2_equality owns the A2 closed form
+            ref = sum_sq_closed_form(ch, n, l)
+            worst_closed = max(worst_closed, np.abs(vals - ref).max())
+        if _bound_applies(ch, n, l):
+            worst_bound = max(worst_bound, vals.max() - sum_sq_bound(ch, n, l))
     passed = worst_closed <= tol and worst_bound <= tol
     return _check(
         "coefficient_sums",
@@ -171,15 +195,13 @@ def check_a2_equality(n_max, l_max, tol=1e-11):
     """Does the middle channel attain its Legendre-product value exactly?
 
     The bound for this channel is stated as an inequality; this check
-    records whether the brute-force sum coincides with the product formula,
-    rather than assuming it.
+    records whether the stencil's channel sum coincides with the product
+    formula, rather than assuming it.
     """
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for l in range(0, l_max + 1):
-            ref = sum_sq_closed_form("A2", n, l)
-            for m_star in range(-l, l + 1):
-                worst = max(worst, abs(sum_sq_channel("A2", n, l, m_star) - ref))
+    for (ch, n, l), vals in _channel_sums(n_max, l_max).items():
+        if ch == "A2" and n >= 1:
+            worst = max(worst, np.abs(vals - sum_sq_closed_form("A2", n, l)).max())
     verdict = "equality holds" if worst <= tol else "equality REFUTED"
     return _check(
         "a2_equality",

@@ -226,6 +226,31 @@ class TestRunCommand:
         assert next(iter(over)) in err["error"]["message"]
         assert not (tmp_path / "diag.csv").exists() and not (tmp_path / "final.csv").exists()
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"init": {"kind": "file", "path": "nan.csv"}},
+            {"init": {"kind": "single-mode", "mode": [0, 2, 0], "amplitude": math.nan}},
+            {
+                "method": "cascade",
+                "init": {"kind": "single-mode", "mode": [0, 2, 0], "amplitude": [math.inf, 0]},
+            },
+        ],
+        ids=["file-nan", "single-mode-nan", "cascade-infinity"],
+    )
+    def test_non_finite_datum_rejected(self, tmp_path, over):
+        (tmp_path / "nan.csv").write_text("n,l,m,re,im\n0,2,0,nan,0\n")
+        cfg = self.write_config(tmp_path, **over)
+        proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+        assert proc.returncode == 1
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("{")]
+        assert errors == [proc.stderr.strip().splitlines()[-1]], proc.stderr
+        err = json.loads(errors[0])
+        assert err["error"]["type"] == "ConfigError"
+        assert "not finite at t = 0" in err["error"]["message"]
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "diag.csv").exists() and not (tmp_path / "final.csv").exists()
+
     def test_tensor_dir_key_is_ignored(self, tmp_path):
         # configs written for the removed tensor cache still run, unchanged
         plain = self.write_config(tmp_path, truncation=6)

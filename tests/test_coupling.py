@@ -1,35 +1,121 @@
 import math
+from functools import cache
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from landau_spectral import verification
+from landau_spectral import operators, verification
 from landau_spectral.basis import Mode, mode_table
 from landau_spectral.coupling import (
-    A1,
-    A2,
-    A3,
-    A_minus,
-    A_plus,
     CHANNELS,
     MAX_SHELL,
+    _assemble,
     _gaunt_factors,
+    _tensor_columns,
     build_tensor,
-    coef_tilde_C,
-    diag_coef,
-    drift_coef,
     gaunt,
     load_tensor,
     save_tensor,
     sum_sq_bound,
-    sum_sq_channel,
     sum_sq_closed_form,
 )
 from landau_spectral.errors import CapacityError, TensorCacheError
 from landau_spectral.specfun import gauss_legendre, normalized_plm_table
 
 SQPI2 = 1 / (2 * math.sqrt(math.pi))
+
+
+# The scalar coefficient functions, one mode at a time, in source indices: the
+# oracle that reference_tensor_rows assembles and test_matches_reference_loop
+# compares the stencil with.
+SQRT_PI_3 = math.sqrt(math.pi / 3.0)
+SQRT_PI_15 = math.sqrt(math.pi / 15.0)
+
+
+def coef_tilde_C(m1: int, m: int, l: int, lp: int) -> float:
+    """Expansion coefficient of Y_1^{m1} Y_l^m onto Y_{lp}^{m1+m}.
+
+    Zero by convention when lp < 0 (the degree -1 harmonic is identically
+    zero) or the target order is out of range.
+    """
+    if lp not in (l - 1, l + 1):
+        raise ValueError(f"lp must be l-1 or l+1, got l={l}, lp={lp}")
+    if lp < 0 or abs(m1 + m) > lp:
+        return 0.0
+    return gaunt(1, m1, l, m, lp, -m1 - m)
+
+
+def A_minus(n: int, l: int, m: int, m1: int) -> float:
+    """Coefficient of phi_{n+1,l-1,m+m1} in the shell-1 driver expansion."""
+    if l < 1:
+        return 0.0
+    return 4.0 * SQRT_PI_3 * (l - 1) * math.sqrt(2.0 * (n + 1)) * coef_tilde_C(m1, m, l, l - 1)
+
+
+def A_plus(n: int, l: int, m: int, m1: int) -> float:
+    """Coefficient of phi_{n,l+1,m+m1} in the shell-1 driver expansion."""
+    return 4.0 * SQRT_PI_3 * (l + 2) * math.sqrt(2.0 * n + 2.0 * l + 3.0) * coef_tilde_C(m1, m, l, l + 1)
+
+
+def A1(n: int, l: int, m: int, m2: int) -> float:
+    """Coefficient of phi_{n+2,l-2,m+m2} in the shell-2 driver expansion."""
+    if l < 2 or abs(m + m2) > l - 2:
+        return 0.0
+    g = gaunt(2, m2, l, m, l - 2, -m2 - m)
+    return -4.0 * SQRT_PI_15 * math.sqrt(4.0 * (n + 2) * (n + 1)) * g
+
+
+def A2(n: int, l: int, m: int, m2: int) -> float:
+    """Coefficient of phi_{n+1,l,m+m2} in the shell-2 driver expansion."""
+    if abs(m + m2) > l:
+        return 0.0
+    g = gaunt(2, m2, l, m, l, -m2 - m)
+    return 4.0 * SQRT_PI_15 * math.sqrt(2.0 * (n + 1) * (2.0 * n + 2.0 * l + 3.0)) * g
+
+
+def A3(n: int, l: int, m: int, m2: int) -> float:
+    """Coefficient of phi_{n,l+2,m+m2} in the shell-2 driver expansion."""
+    if abs(m + m2) > l + 2:
+        return 0.0
+    g = gaunt(2, m2, l, m, l + 2, -m2 - m)
+    return -4.0 * SQRT_PI_15 * math.sqrt((2.0 * n + 2.0 * l + 5.0) * (2.0 * n + 2.0 * l + 3.0)) * g
+
+
+def drift_coef(n: int, l: int) -> float:
+    """Radial-driver coefficient feeding mode (n, l) from (n-1, l)."""
+    return 4.0 * math.sqrt(3.0 * n * (2.0 * n + 2.0 * l + 1.0)) / 3.0
+
+
+def diag_coef(n: int, l: int) -> float:
+    """Maxwellian-driver diagonal, -(2(2n+l) + l(l+1)) for every mode."""
+    return -float(2 * (2 * n + l) + l * (l + 1))
+
+
+def sum_sq_channel(channel: str, n: int, l: int, m_star: int) -> float:
+    """Sum over (m, m2) with m + m2 = m_star of the squared coefficient.
+
+    Indices follow the target-side form: channel A1 sums |A1(n-2, l+2, ., .)|^2,
+    A2 sums |A2(n-1, l, ., .)|^2 and A3 sums |A3(n, l-2, ., .)|^2 for a target
+    mode (n, l, m_star).
+    """
+    if abs(m_star) > l:
+        raise ValueError(f"|m_star| <= l required, got l={l}, m_star={m_star}")
+    total = 0.0
+    for m2 in range(-2, 3):
+        m = m_star - m2
+        if channel == "A1":
+            if n >= 2 and abs(m) <= l + 2:
+                total += A1(n - 2, l + 2, m, m2) ** 2
+        elif channel == "A2":
+            if n >= 1 and abs(m) <= l:
+                total += A2(n - 1, l, m, m2) ** 2
+        elif channel == "A3":
+            if l >= 2 and abs(m) <= l - 2:
+                total += A3(n, l - 2, m, m2) ** 2
+        else:
+            raise ValueError(f"unknown channel {channel!r}")
+    return total
 
 
 def wigner_gaunt_oracle(l1, m1, l2, m2, l3, m3):
@@ -236,6 +322,22 @@ class TestChannelSums:
         monkeypatch.setattr(verification, "sum_sq_closed_form", wrong_a2)
         assert verification.check_coefficient_sums(6, 6)["passed"]
         assert not verification.check_a2_equality(6, 6)["passed"]
+
+    @pytest.mark.parametrize("channel", ["A2", "drift"])
+    def test_checks_read_the_stencil(self, monkeypatch, channel):
+        # one channel of the stencil scaled by 1.01 fails the checks that read
+        # that channel: the A2 equality, and the Fourier identities of both
+        @cache
+        def mutant(N):
+            columns = _tensor_columns(N)
+            *indices, coef = columns[channel]
+            columns[channel] = (*indices, 1.01 * coef)
+            return _assemble(N, columns)
+
+        monkeypatch.setattr(verification, "build_tensor", mutant)
+        monkeypatch.setattr(operators, "build_tensor", mutant)
+        assert verification.check_a2_equality(6, 6)["passed"] == (channel != "A2")
+        assert not verification.check_fourier_multiplier(np.random.default_rng(12345))["passed"]
 
     def test_m_star_out_of_range(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StateFileError, WeightOverflowError
-from .specfun import laguerre, ylm
+from .specfun import laguerre, normalized_plm_table, ylm
 
 NULL_MODES = ((0, 0, 0), (0, 1, -1), (0, 1, 0), (0, 1, 1), (1, 0, 0))
 
@@ -142,6 +142,38 @@ def phi_eval(mode, v):
     return complex(val) if scalar else val
 
 
+def psi_hat_table(N: int, xi) -> np.ndarray:
+    """psi_hat of every mode of ``mode_table(N)`` at frequency point(s) xi
+    (shape (..., 3)): row i holds mode i, shape (len(table),) + xi.shape[:-1].
+
+    One pass: one ``normalized_plm_table`` in cos(theta), one table of
+    |xi|^k e^(-|xi|^2/2) over the shells k <= N and one of e^(i m phi).
+    """
+    table = mode_table(N)
+    xi = np.asarray(xi, dtype=float)
+    r, theta, phi = _angles(xi)
+    log_b = [
+        0.75 * math.log(2.0 * math.pi)
+        - 0.5 * (
+            0.5 * math.log(2.0)
+            + math.lgamma(n + 1)
+            + math.lgamma(n + l + 1.5)
+            + (2 * n + l) * math.log(2.0)
+        )
+        for n, l in zip(table.n.tolist(), table.l.tolist())
+    ]
+    b = np.exp(log_b) * np.array([1.0, -1j, -1.0, 1j])[table.l % 4]  # (-i)^l
+    lift = (1,) * r.ndim
+    k = np.arange(N + 1).reshape(-1, *lift)
+    radial = r**k * np.exp(-r * r / 2.0)
+    plm = normalized_plm_table(N, np.cos(theta))
+    azimuth = np.exp(1j * np.arange(-N, N + 1).reshape(-1, *lift) * phi)
+    val = b.reshape(-1, *lift) * radial[table.shell]
+    val = val * plm[table.l, np.abs(table.m)] * azimuth[table.m + N]
+    # on xi = 0 every mode above shell 0 vanishes, whatever its direction
+    return np.where((table.shell.reshape(-1, *lift) > 0) & (r == 0), 0.0, val)
+
+
 def psi_hat(mode, xi):
     """Fourier transform of sqrt(mu) phi_{n,l,m} at frequency point(s) xi.
 
@@ -149,23 +181,12 @@ def psi_hat(mode, xi):
 
         B_{n,l} = (-i)^l (2 pi)^(3/4) (sqrt(2) n! Gamma(n+l+3/2) 2^(2n+l))^(-1/2)
 
-    under the convention f_hat(xi) = integral e^(-i v.xi) f(v) dv.
+    under the convention f_hat(xi) = integral e^(-i v.xi) f(v) dv.  Reads the
+    mode's row of ``psi_hat_table``.
     """
-    n, l, m = validate_mode(*mode)
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    r, theta, phi = _angles(xi)
-    log_b = 0.75 * math.log(2.0 * math.pi) - 0.5 * (
-        0.5 * math.log(2.0)
-        + math.lgamma(n + 1)
-        + math.lgamma(n + l + 1.5)
-        + (2 * n + l) * math.log(2.0)
-    )
-    b = math.exp(log_b) * (-1j) ** l
-    val = b * r ** (2 * n + l) * np.exp(-r * r / 2.0) * ylm(l, m, theta, phi)
-    if 2 * n + l > 0:
-        val = np.where(r > 0, val, 0.0)
-    return complex(val) if scalar else val
+    mode = validate_mode(*mode)
+    val = psi_hat_table(mode.shell, xi)[mode_table(mode.shell).index[mode]]
+    return complex(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)

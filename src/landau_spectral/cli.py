@@ -2,11 +2,12 @@
 
 Subcommands:
 
-* ``run --config cfg.json`` -- build the coupling tensor, construct the
-  initial datum, integrate, and write diagnostics/final-state CSVs.
+* ``run --config cfg.json`` -- construct and check the initial datum, build
+  the coupling tensor, integrate, and write diagnostics/final-state CSVs.
   The run streams: it holds one row block of the trajectory at a time.
 * ``verify --level fast|full [--seed S] [--out report.json]`` -- run the
-  property suites and emit a JSON report with per-check margins.
+  property suites and emit a JSON report with per-check margins and wall
+  times.
 
 The tensor is rebuilt on every run: at N=16 that takes a few milliseconds,
 less than writing or reading it as a file.
@@ -296,8 +297,8 @@ def _trajectory_sink(path):
 
 
 def run(cfg: RunConfig) -> int:
+    init = build_initial_state(cfg)  # a rejected datum never pays for the tensor
     tensor = load_or_build_tensor(cfg.truncation)
-    init = build_initial_state(cfg)
 
     try:
         smallness = check_smallness(init, cfg.c1)

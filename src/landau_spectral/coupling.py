@@ -58,8 +58,9 @@ def _selection_ok(l1, m1, l2, m2, l3, m3) -> bool:
     return True
 
 
-@lru_cache(maxsize=200_000)
-def _gaunt_theta(l1, m1, l2, m2, l3, m3) -> float:
+def gaunt_quadrature(l1, m1, l2, m2, l3, m3) -> float:
+    """The Gauss-Legendre theta integral of ``gaunt``, uncached and in the
+    order given: no selection rule, and the azimuthal factor is taken as 2 pi."""
     rule = gauss_legendre((l1 + l2 + l3) // 2 + 1)
     vals = (
         normalized_plm(l1, m1, rule.nodes)
@@ -67,6 +68,9 @@ def _gaunt_theta(l1, m1, l2, m2, l3, m3) -> float:
         * normalized_plm(l3, m3, rule.nodes)
     )
     return 2.0 * math.pi * float(np.dot(rule.weights, vals))
+
+
+_gaunt_theta = lru_cache(maxsize=200_000)(gaunt_quadrature)
 
 
 def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import Mode, SpectralState, mode_table, psi_hat, validate_mode
+from .basis import Mode, SpectralState, mode_table, psi_hat_table, validate_mode
 from .coupling import CouplingTensor, build_tensor
 from .errors import DimensionMismatchError, QuadratureOrderError
 from .specfun import gauss_legendre, laguerre, ylm
@@ -40,52 +40,72 @@ def apply_bilinear(
 
 _DRIFT_MULT = 2.0 * math.sqrt(6.0) / 3.0
 _QUAD_MULT = 4.0 * math.sqrt(math.pi / 15.0)
+# the drivers with a Fourier multiplier: the radial (1,0,0) and the angular (0,2,m2)
+FOURIER_DRIVERS = (Mode(1, 0, 0),) + tuple(Mode(0, 2, m2) for m2 in range(-2, 3))
 
 
-def fourier_multiplier_oracle(driver, target, xi_samples) -> float:
-    """Max relative deviation between the Fourier-multiplier form and the
-    coefficient expansion of the bilinear operator for one driver/target pair.
+def fourier_multiplier_deviations(targets, xi_samples) -> np.ndarray:
+    """Max relative deviations between the Fourier-multiplier form and the
+    coefficient expansion of the bilinear operator, shape (targets, 6): one row
+    per target mode, one column per driver of ``FOURIER_DRIVERS``.  Row i is
+    measured at the points ``xi_samples[i]``, shape (targets, points, 3).
 
     The left side multiplies the target's Fourier profile by the driver's
     multiplier symbol; the right side sums the stencil entries with this driver
     and source ``target``, each coefficient times its own target's profile.
-    Supported drivers are the radial shell-2 mode (1,0,0) and the angular (0,2,m2).
+    One ``psi_hat_table`` per target gives every profile at its points.
     """
-    dn, dl, dm = validate_mode(*driver)
-    n, l, m = validate_mode(*target)
-    if 2 * n + l > 6:
+    targets = [validate_mode(*t) for t in targets]
+    if any(t.shell > 6 for t in targets):
         raise ValueError("oracle supports target shells <= 6")
-    xi = np.asarray(xi_samples, dtype=float).reshape(-1, 3)
-    norms = np.linalg.norm(xi, axis=1)
+    xi = np.asarray(xi_samples, dtype=float).reshape(len(targets), -1, 3)
+    norms = np.linalg.norm(xi, axis=-1)
     if np.any(norms < 1e-8):
         raise ValueError("degenerate sample: |xi| < 1e-8")
 
-    r2 = np.sum(xi * xi, axis=1)
-    if (dn, dl) == (1, 0):
-        left = _DRIFT_MULT * r2 * psi_hat((n, l, m), xi)
-    elif (dn, dl) == (0, 2):
-        theta = np.arccos(np.clip(xi[:, 0] / norms, -1.0, 1.0))
-        phi = np.arctan2(xi[:, 2], xi[:, 1])
-        left = _QUAD_MULT * r2 * ylm(2, dm, theta, phi) * psi_hat((n, l, m), xi)
-    else:
-        raise ValueError(f"unsupported driver mode {tuple(driver)}")
+    r2 = np.sum(xi * xi, axis=-1)
+    theta = np.arccos(np.clip(xi[..., 0] / norms, -1.0, 1.0))
+    phi = np.arctan2(xi[..., 2], xi[..., 1])
+    # the multiplier symbol of each driver, shape (6, targets, points)
+    symbol = np.array(
+        [_DRIFT_MULT * r2] + [_QUAD_MULT * r2 * ylm(2, d.m, theta, phi) for d in FOURIER_DRIVERS[1:]]
+    )
     # a shell-2 driver raises the shell by 2: N = 8 holds every target of a source at shell <= 6
     table = mode_table(8)
     drv, tgt, src, coef = build_tensor(8).entries()
-    pick = (drv == table.index[Mode(dn, dl, dm)]) & (src == table.index[Mode(n, l, m)])
-    right = np.zeros(len(xi), dtype=np.complex128)
-    term_scale = np.zeros(len(xi))
-    for c, t in zip(coef[pick].tolist(), tgt[pick].tolist()):
-        term = c * psi_hat(table.modes[t], xi)
-        term_scale = np.maximum(term_scale, np.abs(term))
-        right = right + term
+    column = np.full(len(table), -1)
+    column[[table.index[d] for d in FOURIER_DRIVERS]] = np.arange(len(FOURIER_DRIVERS))
+    left = np.empty((len(targets), len(FOURIER_DRIVERS), xi.shape[1]), dtype=np.complex128)
+    right = np.zeros_like(left)
+    term_scale = np.zeros(left.shape)
+    for i, (mode, points) in enumerate(zip(targets, xi)):
+        psi = psi_hat_table(8, points)
+        left[i] = symbol[:, i] * psi[table.index[mode]]
+        pick = np.flatnonzero((src == table.index[mode]) & (column[drv] >= 0))
+        # ufunc.at accumulates repeated columns one entry at a time, in entry order
+        terms = coef[pick, None] * psi[tgt[pick]]
+        np.add.at(right[i], column[drv[pick]], terms)
+        np.maximum.at(term_scale[i], column[drv[pick]], np.abs(terms))
 
     # deviations are measured against the size of the computation, not of the
     # (possibly cancelling) sides: a wrong coefficient still shows up O(1)
     scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), term_scale)
     err = np.abs(left - right)
     rel = np.where(scale > 0, err / np.where(scale > 0, scale, 1.0), 0.0)
-    return float(np.max(rel)) if len(rel) else 0.0
+    return rel.max(axis=-1, initial=0.0)
+
+
+def fourier_multiplier_oracle(driver, target, xi_samples) -> float:
+    """Max relative deviation between the Fourier-multiplier form and the
+    coefficient expansion of the bilinear operator for one driver/target pair,
+    over the points ``xi_samples``; see ``fourier_multiplier_deviations``.
+    Supported drivers are the radial shell-2 mode (1,0,0) and the angular (0,2,m2).
+    """
+    driver = validate_mode(*driver)
+    if driver not in FOURIER_DRIVERS:
+        raise ValueError(f"unsupported driver mode {tuple(driver)}")
+    xi = np.asarray(xi_samples, dtype=float).reshape(1, -1, 3)
+    return float(fourier_multiplier_deviations([target], xi)[0, FOURIER_DRIVERS.index(driver)])
 
 
 _ORACLES = {

@@ -13,6 +13,7 @@ same checks at fixed seeds.
 """
 
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -28,10 +29,10 @@ from .basis import (
     s2_norm,
     weighted_norm,
 )
-from .coupling import MAX_SHELL, build_tensor, gaunt, sum_sq_bound, sum_sq_closed_form
+from .coupling import MAX_SHELL, build_tensor, gaunt_quadrature, sum_sq_bound, sum_sq_closed_form
 from .operators import (
     apply_bilinear,
-    fourier_multiplier_oracle,
+    fourier_multiplier_deviations,
     moment_integral_oracle,
 )
 from .solver import (
@@ -138,7 +139,10 @@ def check_gaunt_permutation(rng, samples=40, tol=1e-13):
         m3 = -m1 - m2
         if abs(m3) > l3:
             continue
-        vals = [gaunt(*p[0], *p[1], *p[2]) for p in permutations(((l1, m1), (l2, m2), (l3, m3)))]
+        # every argument order through the uncached quadrature: ``gaunt`` sorts
+        # its pairs before its cache, so it would return one value for all six
+        pairs = ((l1, m1), (l2, m2), (l3, m3))
+        vals = [gaunt_quadrature(*a, *b, *c) for a, b, c in permutations(pairs)]
         worst = max(worst, max(vals) - min(vals))
     return _check("gaunt_permutation", worst <= tol, tol - worst, f"max spread {worst:.3e}")
 
@@ -212,17 +216,13 @@ def check_a2_equality(n_max, l_max, tol=1e-11):
 
 
 def check_fourier_multiplier(rng, shell_max=4, tol=1e-10):
-    drivers = [(1, 0, 0)] + [(0, 2, m2) for m2 in range(-2, 3)]
-    worst = 0.0
-    for k in range(shell_max + 1):
-        for n in range(k // 2 + 1):
-            l = k - 2 * n
-            for m in range(-l, l + 1):
-                # a fresh sample of 10 points, 0.3 <= |xi| <= 3, per target mode
-                xi = rng.standard_normal((10, 3))
-                xi *= (0.3 + 2.7 * rng.random((10, 1))) / np.linalg.norm(xi, axis=1, keepdims=True)
-                for drv in drivers:
-                    worst = max(worst, fourier_multiplier_oracle(drv, (n, l, m), xi))
+    targets = mode_table(shell_max).modes
+    xi = np.empty((len(targets), 10, 3))
+    for points in xi:
+        # a fresh sample of 10 points, 0.3 <= |xi| <= 3, per target mode
+        points[:] = rng.standard_normal((10, 3))
+        points *= (0.3 + 2.7 * rng.random((10, 1))) / np.linalg.norm(points, axis=1, keepdims=True)
+    worst = float(np.max(fourier_multiplier_deviations(targets, xi)))
     return _check(
         "fourier_multiplier", worst <= tol, tol - worst, f"max relative error {worst:.3e}"
     )
@@ -332,20 +332,25 @@ def run_checks(level: str = "fast", seed: int = 12345) -> dict:
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     rng = np.random.default_rng(seed)
     full = level == "full"
-    checks = [
-        check_quadrature_exactness(),
-        check_sphere_orthonormality(lmax=10 if full else 6),
-        check_gaunt_permutation(rng),
-        check_coefficient_sums(n_max=12 if full else 6, l_max=12 if full else 6),
-        check_a2_equality(n_max=12 if full else 6, l_max=12 if full else 6),
-        check_fourier_multiplier(rng),
-        check_moment_integrals(rng),
-        check_cascade_vs_numeric(rng, N=10 if full else 6),
-        check_trilinear(rng, N=20 if full else 8, triples=100 if full else 20),
-        check_nullspace_closure(rng),
-        check_eigenvalue_bound(),
-        check_energy_decay(rng, N=16 if full else 8, runs=3 if full else 2),
-    ]
+    suite = (
+        lambda: check_quadrature_exactness(),
+        lambda: check_sphere_orthonormality(lmax=10 if full else 6),
+        lambda: check_gaunt_permutation(rng),
+        lambda: check_coefficient_sums(n_max=12 if full else 6, l_max=12 if full else 6),
+        lambda: check_a2_equality(n_max=12 if full else 6, l_max=12 if full else 6),
+        lambda: check_fourier_multiplier(rng),
+        lambda: check_moment_integrals(rng),
+        lambda: check_cascade_vs_numeric(rng, N=10 if full else 6),
+        lambda: check_trilinear(rng, N=20 if full else 8, triples=100 if full else 20),
+        lambda: check_nullspace_closure(rng),
+        lambda: check_eigenvalue_bound(),
+        lambda: check_energy_decay(rng, N=16 if full else 8, runs=3 if full else 2),
+    )
+    checks = []
+    for check in suite:  # in order: the checks share one random stream
+        start = time.perf_counter()
+        checks.append(check())
+        checks[-1]["seconds"] = time.perf_counter() - start
 
     return {
         "level": level,

@@ -249,6 +249,7 @@ class TestRunCommand:
         assert err["error"]["type"] == "ConfigError"
         assert "not finite at t = 0" in err["error"]["message"]
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "coupling tensor" not in proc.stderr  # the datum is checked before the build
         assert not (tmp_path / "diag.csv").exists() and not (tmp_path / "final.csv").exists()
 
     def test_tensor_dir_key_is_ignored(self, tmp_path):
@@ -474,6 +475,7 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["checks"]]
         assert "a2_equality" in names
         assert all("margin" in c for c in report["checks"])
+        assert all(math.isfinite(c["seconds"]) and c["seconds"] >= 0 for c in report["checks"])
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk == report
 
@@ -503,6 +505,26 @@ def test_run_never_imports_verification(tmp_path):
     cfg = TestRunCommand().write_config(tmp_path, truncation=6, t_final=0.05)
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CHILD, str(cfg)], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) is False
+
+
+# Imports the CLI and builds a tensor, then prints whether numpy.polynomial was
+# loaded on the way.
+_POLYNOMIAL_FREE_CHILD = """
+import json, sys
+import landau_spectral.cli
+from landau_spectral.coupling import build_tensor
+build_tensor(8)
+print(json.dumps("numpy.polynomial" in sys.modules))
+"""
+
+
+def test_tensor_build_never_imports_numpy_polynomial():
+    # the Gauss-Legendre rules need no eigen-solve, so a run skips the import
+    proc = subprocess.run(
+        [sys.executable, "-c", _POLYNOMIAL_FREE_CHILD], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) is False

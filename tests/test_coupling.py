@@ -15,6 +15,7 @@ from landau_spectral.coupling import (
     _tensor_columns,
     build_tensor,
     gaunt,
+    gaunt_quadrature,
     load_tensor,
     save_tensor,
     sum_sq_bound,
@@ -210,6 +211,18 @@ class TestGaunt:
     def test_bad_order_raises(self):
         with pytest.raises(ValueError):
             gaunt(1, 2, 0, 0, 1, -2)
+
+    def test_permutation_check_evaluates_every_order(self, monkeypatch):
+        # a quadrature that is not symmetric in its pairs must fail the check;
+        # through ``gaunt``, which sorts its pairs before its cache, it passed
+        def lopsided(l1, m1, l2, m2, l3, m3):
+            return gaunt_quadrature(l1, m1, l2, m2, l3, m3) * (1.0 + 1e-12 * l1)
+
+        rng = np.random.default_rng(12345)
+        assert verification.check_gaunt_permutation(rng)["passed"]
+        monkeypatch.setattr(verification, "gaunt_quadrature", lopsided)
+        rng = np.random.default_rng(12345)
+        assert not verification.check_gaunt_permutation(rng)["passed"]
 
 
 class TestTildeC:

@@ -8,17 +8,21 @@ from landau_spectral.basis import (
     NormSpec,
     SpectralState,
     mode_table,
+    psi_hat,
     s2_norm,
     weighted_norm,
 )
 from landau_spectral.coupling import build_tensor
 from landau_spectral.errors import DimensionMismatchError, QuadratureOrderError
 from landau_spectral.operators import (
+    FOURIER_DRIVERS,
     _gauss_laguerre,
     apply_bilinear,
+    fourier_multiplier_deviations,
     fourier_multiplier_oracle,
     moment_integral_oracle,
 )
+from landau_spectral.specfun import ylm
 from landau_spectral.verification import (
     check_nullspace_closure,
     check_trilinear,
@@ -129,6 +133,32 @@ class TestTrilinearEstimate:
             assert lhs <= rhs * (1 + 1e-12)
 
 
+def per_pair_reference(driver, target, xi):
+    """One driver/target deviation with one psi_hat call per mode, summing the
+    picked stencil entries one at a time."""
+    table = mode_table(8)
+    r2 = np.sum(xi * xi, axis=1)
+    norms = np.sqrt(r2)
+    theta = np.arccos(np.clip(xi[:, 0] / norms, -1.0, 1.0))
+    phi = np.arctan2(xi[:, 2], xi[:, 1])
+    if driver == (1, 0, 0):
+        left = 2.0 * math.sqrt(6.0) / 3.0 * r2 * psi_hat(target, xi)
+    else:
+        symbol = 4.0 * math.sqrt(math.pi / 15.0) * r2 * ylm(2, driver[2], theta, phi)
+        left = symbol * psi_hat(target, xi)
+    drv, tgt, src, coef = build_tensor(8).entries()
+    pick = (drv == table.index[driver]) & (src == table.index[target])
+    right = np.zeros(len(xi), dtype=np.complex128)
+    term_scale = np.zeros(len(xi))
+    for c, t in zip(coef[pick].tolist(), tgt[pick].tolist()):
+        term = c * psi_hat(table.modes[t], xi)
+        term_scale = np.maximum(term_scale, np.abs(term))
+        right = right + term
+    scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), term_scale)
+    rel = np.where(scale > 0, np.abs(left - right) / np.where(scale > 0, scale, 1.0), 0.0)
+    return float(np.max(rel))
+
+
 class TestFourierMultiplierOracle:
     def xi_samples(self, seed=61, count=10):
         rng = np.random.default_rng(seed)
@@ -166,6 +196,32 @@ class TestFourierMultiplierOracle:
     def test_shell_bound(self):
         with pytest.raises(ValueError, match="shell"):
             fourier_multiplier_oracle((1, 0, 0), (4, 0, 0), self.xi_samples())
+
+    def test_batched_core_is_the_oracle_per_pair(self):
+        # criterion 4's seed and sizes: 10 points, 0.3 <= |xi| <= 3, per target at shell <= 4
+        rng = np.random.default_rng(104)
+        targets = mode_table(4).modes
+        xi = rng.standard_normal((len(targets), 10, 3))
+        radii = 0.3 + 2.7 * rng.random((len(targets), 10, 1))
+        xi *= radii / np.linalg.norm(xi, axis=-1, keepdims=True)
+        got = fourier_multiplier_deviations(targets, xi)
+        assert got.shape == (len(targets), len(FOURIER_DRIVERS))
+        want = [
+            [fourier_multiplier_oracle(driver, target, points) for driver in FOURIER_DRIVERS]
+            for target, points in zip(targets, xi)
+        ]
+        np.testing.assert_array_equal(got, want)
+        # the per-pair loop over psi_hat that the core replaced: same arithmetic
+        loop = [
+            [per_pair_reference(driver, target, points) for driver in FOURIER_DRIVERS]
+            for target, points in zip(targets, xi)
+        ]
+        np.testing.assert_array_equal(got, loop)
+        assert np.max(got) <= 1e-10
+
+    def test_unsupported_driver(self):
+        with pytest.raises(ValueError, match="unsupported driver"):
+            fourier_multiplier_oracle((0, 1, 0), (0, 2, 0), self.xi_samples())
 
 
 class TestMomentIntegralOracle:
